@@ -151,7 +151,14 @@ impl Cvae {
     /// # Panics
     /// Panics if called before [`Cvae::encode_and_sample`].
     pub fn backward_encoder(&mut self, grad_z: &Matrix, grad_mu: &Matrix, grad_logvar: &Matrix) {
-        let Self { encoder, cache, ws, .. } = self;
+        self.sampler_backward(grad_z, grad_mu, grad_logvar);
+        let CvaeScratch { up, dx, .. } = &mut self.ws;
+        self.encoder.backward_params(up, dx);
+    }
+
+    /// The gradient at the encoder output `[μ ; log σ²]`, into `ws.up`.
+    fn sampler_backward(&mut self, grad_z: &Matrix, grad_mu: &Matrix, grad_logvar: &Matrix) {
+        let Self { cache, ws, .. } = self;
         let cache = cache.as_ref().expect("Cvae::backward_encoder before encode");
         // z = mu + exp(0.5 lv) * eps
         // dz/dmu = 1; dz/dlv = 0.5 * exp(0.5 lv) * eps.
@@ -163,7 +170,6 @@ impl Cvae {
         ws.dlv.zip_map_inplace(grad_logvar, |t, g| t + g);
         grad_z.zip_map_into(grad_mu, |a, b| a + b, &mut ws.dmu);
         ws.dmu.hstack_into(&ws.dlv, &mut ws.up);
-        encoder.backward_into(&mut ws.up, &mut ws.dx);
     }
 
     /// Runs the content encoder `E^x`, returning the anchor `z^x`.
@@ -174,7 +180,9 @@ impl Cvae {
     /// Backpropagates `grad` through the content encoder (parameter
     /// gradients accumulate; input gradient discarded).
     pub fn backward_content_encoder(&mut self, grad: &Matrix) {
-        let _ = self.content_encoder.backward(grad);
+        let Self { content_encoder, ws, .. } = self;
+        ws.grad.assign(grad);
+        content_encoder.backward_params(&mut ws.grad, &mut ws.dx);
     }
 
     /// Decodes `(z, x)` into per-item logits.
@@ -334,6 +342,75 @@ mod tests {
         cvae.visit_params(&mut |p| total += p.grad.frobenius_norm());
         assert!(total > 0.0, "encoder must receive gradient");
         assert!(total.is_finite());
+    }
+
+    #[test]
+    fn encoder_backward_matches_the_full_backward_bitwise() {
+        // `backward_encoder` / `backward_content_encoder` skip the input
+        // gradients; the parameter gradients must equal those of the full
+        // `backward_into` chain, at any thread count and SIMD setting, over
+        // accumulating steps. Books-like widths take the blocked, SIMD and
+        // row-parallel matmul paths.
+        use metadpa_nn::module::{restore, snapshot, snapshot_grads};
+        use metadpa_tensor::pool::with_threads;
+        use metadpa_tensor::simd::{self, Policy};
+        let cfg = CvaeConfig { n_items: 300, content_dim: 48, hidden_dim: 32, latent_dim: 8 };
+        let bits = |ms: Vec<Matrix>| -> Vec<Vec<u32>> {
+            ms.iter().map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        for threads in [1, 2] {
+            for policy in [Policy::ForcedScalar, Policy::Auto] {
+                with_threads(threads, || {
+                    simd::with_policy(policy, || {
+                        let mut rng = SeededRng::new(8);
+                        let mut fast = Cvae::new(cfg, &mut rng);
+                        let mut full = Cvae::new(cfg, &mut SeededRng::new(0));
+                        restore(&mut full, &snapshot(&mut fast));
+                        zero_grad(&mut fast);
+                        zero_grad(&mut full);
+                        for step in 0..3 {
+                            let r =
+                                Matrix::from_fn(160, 300, |i, j| ((i * 7 + j * step) % 5) as f32);
+                            let x = rng.normal_matrix(160, 48);
+                            let (gz, gmu, glv) = (
+                                rng.normal_matrix(160, 8),
+                                rng.normal_matrix(160, 8),
+                                rng.normal_matrix(160, 8),
+                            );
+                            let gzx = rng.normal_matrix(160, 8);
+                            let seed = rng.gen_index(1 << 30) as u64;
+                            let _ = fast.encode_and_sample(
+                                &r,
+                                &x,
+                                &mut SeededRng::new(seed),
+                                Mode::Train,
+                            );
+                            let _ = full.encode_and_sample(
+                                &r,
+                                &x,
+                                &mut SeededRng::new(seed),
+                                Mode::Train,
+                            );
+                            let _ = fast.content_encode(&x, Mode::Train);
+                            let _ = full.content_encode(&x, Mode::Train);
+
+                            fast.backward_encoder(&gz, &gmu, &glv);
+                            fast.backward_content_encoder(&gzx);
+                            full.sampler_backward(&gz, &gmu, &glv);
+                            let CvaeScratch { up, dx, .. } = &mut full.ws;
+                            full.encoder.backward_into(up, dx);
+                            let _ = full.content_encoder.backward(&gzx);
+
+                            assert_eq!(
+                                bits(snapshot_grads(&mut fast)),
+                                bits(snapshot_grads(&mut full)),
+                                "step {step}, threads {threads}, {policy:?}"
+                            );
+                        }
+                    })
+                });
+            }
+        }
     }
 
     #[test]

@@ -15,22 +15,21 @@
 //! adapts the trained θ on cold-start support sets, after which the model
 //! scores the query candidates.
 
-use std::sync::Mutex;
-
 use metadpa_data::task::Task;
 use metadpa_nn::loss::bce_with_logits_into;
 use metadpa_nn::module::{
     accumulate_grads, restore, snapshot, snapshot_grads, snapshot_into, zero_grad, Mode, Module,
 };
 use metadpa_nn::optim::{Adam, Optimizer, Sgd};
+use metadpa_tensor::pool::Team;
 use metadpa_tensor::{Matrix, Pool, SeededRng};
 
 use crate::preference::{PreferenceConfig, PreferenceModel};
 
-/// Reusable buffers for one worker's inner-loop passes: the item list,
-/// label/input/logit/gradient matrices of `run_set_on`. Every field keeps
-/// its high-water capacity, so after the first task a whole inner loop runs
-/// without allocating.
+/// Reusable buffers for one thread's inner-loop passes: the item list,
+/// label/input/logit/gradient matrices of `run_set_on` (`dx` is backward
+/// scratch). Every field keeps its high-water capacity, so after the first
+/// task a whole inner loop runs without allocating.
 #[derive(Default)]
 struct TaskScratch {
     items: Vec<usize>,
@@ -40,6 +39,17 @@ struct TaskScratch {
     grad: Matrix,
     dx: Matrix,
 }
+
+/// What every task of one meta-batch reads: θ, and the batch's usable
+/// tasks (indices into the task set).
+#[derive(Default)]
+struct MetaBatch {
+    theta: Vec<Matrix>,
+    tasks: Vec<usize>,
+}
+
+/// One task's `(query_grads, query_loss, support_loss)`.
+type TaskGrads = (Vec<Matrix>, f32, f32);
 
 /// Computes the loss and (optionally) backpropagates one labelled set on
 /// `model`. Free-standing (rather than a `MetaLearner` method) so the
@@ -67,7 +77,7 @@ fn run_set_on(
     model.forward_into(&mut scratch.input, Mode::Train, &mut scratch.logits);
     let loss = bce_with_logits_into(&scratch.logits, &scratch.labels, &mut scratch.grad);
     if backprop {
-        model.backward_into(&mut scratch.grad, &mut scratch.dx);
+        model.backward_params(&mut scratch.grad, &mut scratch.dx);
     }
     loss
 }
@@ -102,8 +112,8 @@ fn adapt_on(
 ///
 /// The model's forward/backward passes are RNG-free and `restore`
 /// overwrites every trainable parameter, so running this against any model
-/// of the same architecture — `self.model` serially, or a scratch clone on
-/// a pool worker — produces bit-identical gradients.
+/// of the same architecture — each team thread's scratch replica — produces
+/// bit-identical gradients.
 fn fomaml_task_grads(
     model: &mut PreferenceModel,
     config: &MamlConfig,
@@ -112,7 +122,7 @@ fn fomaml_task_grads(
     item_content: &Matrix,
     task: &Task,
     scratch: &mut TaskScratch,
-) -> (Vec<Matrix>, f32, f32) {
+) -> TaskGrads {
     restore(model, theta);
     let support_loss = adapt_on(
         model,
@@ -500,20 +510,39 @@ impl MetaLearner {
             "inner_steps" => self.config.inner_steps,
             "meta_batch" => self.config.meta_batch,
         );
+        // Per-task FOMAML gradients. The tasks of one meta-batch are
+        // independent (each starts from θ), so they fan out across a pool
+        // team that lives for the whole run: every team thread adapts its
+        // own scratch replica, rebuilt from θ per task, so `self.model`
+        // holds θ throughout and only the outer update writes it. Results
+        // come back in task order and the meta-gradient is folded in that
+        // order, so the outer update is bit-identical at any thread count.
+        let config = self.config;
+        let pref_config = self.model.config();
+        Pool::current().team(
+            MetaBatch::default(),
+            || (PreferenceModel::new(pref_config, &mut SeededRng::new(0)), TaskScratch::default()),
+            |(model, scratch), batch: &MetaBatch, j| {
+                let task = &tasks[batch.tasks[j]];
+                let user = user_content.row(task.user);
+                fomaml_task_grads(model, &config, &batch.theta, user, item_content, task, scratch)
+            },
+            |team| self.meta_train_epochs(team, tasks, sentinels),
+        )
+    }
+
+    /// The epoch loop of [`MetaLearner::meta_train_checked`], running each
+    /// meta-batch's tasks on `team`.
+    fn meta_train_epochs(
+        &mut self,
+        team: &mut Team<'_, (PreferenceModel, TaskScratch), MetaBatch, TaskGrads>,
+        tasks: &[Task],
+        sentinels: &SentinelConfig,
+    ) -> Result<Vec<MetaEpochReport>, TrainAbort> {
         let mut rng = SeededRng::new(self.config.seed);
         let mut outer = Adam::new(self.config.outer_lr);
         let mut order: Vec<usize> = (0..tasks.len()).collect();
         let mut reports = Vec::with_capacity(self.config.epochs);
-        // θ snapshot buffer, reused across meta-batches (the per-batch
-        // snapshot itself is the rewind contract and stays).
-        let mut theta: Vec<Matrix> = Vec::new();
-        // Inner-loop buffers for the serial path, and a pool of
-        // (scratch model, buffers) pairs for the parallel path. Workers
-        // check a pair out per chunk and return it, so models are built
-        // once per pool lifetime, not once per meta-batch; `restore`
-        // overwrites every parameter, so reuse is exact.
-        let mut serial_scratch = TaskScratch::default();
-        let worker_scratch: Mutex<Vec<(PreferenceModel, TaskScratch)>> = Mutex::new(Vec::new());
         // Sentinel/telemetry state. θ is additionally snapshotted at epoch
         // entry when fail-fast is armed so an abort can rewind cleanly.
         let mut sentinel = SentinelState::new("maml");
@@ -535,83 +564,23 @@ impl MetaLearner {
             let mut n_tasks = 0usize;
 
             for chunk in order.chunks(self.config.meta_batch) {
-                snapshot_into(&mut self.model, &mut theta);
-                let usable: Vec<usize> = chunk
-                    .iter()
-                    .copied()
-                    .filter(|&t| !tasks[t].support.is_empty() && !tasks[t].query.is_empty())
-                    .collect();
-
-                // Per-task FOMAML gradients. The tasks of one meta-batch
-                // are independent (each starts from θ), so they fan out
-                // across the pool; each worker adapts a private scratch
-                // model rebuilt from θ. Results come back in task order
-                // and the meta-gradient is folded below in that order, so
-                // the outer update is bit-identical at any thread count.
-                let results: Vec<(Vec<Matrix>, f32, f32)> = {
+                let used =
+                    {
+                        // The θ snapshot buffer is reused across meta-batches.
+                        let mut batch = team.input_mut();
+                        snapshot_into(&mut self.model, &mut batch.theta);
+                        batch.tasks.clear();
+                        batch.tasks.extend(chunk.iter().copied().filter(|&t| {
+                            !tasks[t].support.is_empty() && !tasks[t].query.is_empty()
+                        }));
+                        batch.tasks.len()
+                    };
+                let results = {
                     let _inner_span = metadpa_obs::span!("maml.inner_loop");
-                    let pool = Pool::current();
-                    if pool.threads() > 1 && usable.len() > 1 {
-                        let config = self.config;
-                        let pref_config = self.model.config();
-                        let theta = &theta;
-                        let worker_scratch = &worker_scratch;
-                        pool.map_chunks(usable.len(), |range| {
-                            let mut entry = worker_scratch
-                                .lock()
-                                .expect("worker scratch pool poisoned")
-                                .pop()
-                                .unwrap_or_else(|| {
-                                    (
-                                        PreferenceModel::new(pref_config, &mut SeededRng::new(0)),
-                                        TaskScratch::default(),
-                                    )
-                                });
-                            let (scratch_model, task_scratch) = &mut entry;
-                            let out = range
-                                .map(|j| {
-                                    let task = &tasks[usable[j]];
-                                    fomaml_task_grads(
-                                        scratch_model,
-                                        &config,
-                                        theta,
-                                        user_content.row(task.user),
-                                        item_content,
-                                        task,
-                                        task_scratch,
-                                    )
-                                })
-                                .collect::<Vec<_>>();
-                            worker_scratch
-                                .lock()
-                                .expect("worker scratch pool poisoned")
-                                .push(entry);
-                            out
-                        })
-                        .into_iter()
-                        .flat_map(|(_, v)| v)
-                        .collect()
-                    } else {
-                        usable
-                            .iter()
-                            .map(|&t_idx| {
-                                let task = &tasks[t_idx];
-                                fomaml_task_grads(
-                                    &mut self.model,
-                                    &self.config,
-                                    &theta,
-                                    user_content.row(task.user),
-                                    item_content,
-                                    task,
-                                    &mut serial_scratch,
-                                )
-                            })
-                            .collect()
-                    }
+                    team.map(used)
                 };
 
                 // Deterministic fold: task order, on this thread.
-                let used = results.len();
                 let mut meta_grads: Option<Vec<Matrix>> = None;
                 for (grads, query_loss, support_loss) in results {
                     match &mut meta_grads {
@@ -629,7 +598,6 @@ impl MetaLearner {
 
                 // Outer update from θ with the averaged meta-gradient.
                 let _outer_span = metadpa_obs::span!("maml.outer_update");
-                restore(&mut self.model, &theta);
                 if let Some(mut grads) = meta_grads {
                     let inv = 1.0 / used as f32;
                     for g in &mut grads {

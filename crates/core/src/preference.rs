@@ -218,6 +218,19 @@ impl PreferenceModel {
         self.ws.put(WS_CAT, cat);
         self.ws.put(WS_SCORE_OUT, logits);
     }
+
+    /// Backpropagates through the scorer and splits the gradient at its
+    /// input into the embedding halves `(dx_u, dx_i)`: workspace buffers
+    /// the caller puts back.
+    fn backward_scorer(&mut self, grad_output: &mut Matrix) -> (Matrix, Matrix) {
+        let mut dcat = self.ws.take(WS_DCAT);
+        let mut dxu = self.ws.take(WS_DXU);
+        let mut dxi = self.ws.take(WS_DXI);
+        self.scorer.backward_into(grad_output, &mut dcat);
+        dcat.hsplit_into(self.config.embed_dim, &mut dxu, &mut dxi);
+        self.ws.put(WS_DCAT, dcat);
+        (dxu, dxi)
+    }
 }
 
 impl Module for PreferenceModel {
@@ -267,21 +280,26 @@ impl Module for PreferenceModel {
     }
 
     fn backward_into(&mut self, grad_output: &mut Matrix, out: &mut Matrix) {
-        let mut dcat = self.ws.take(WS_DCAT);
-        let mut dxu = self.ws.take(WS_DXU);
-        let mut dxi = self.ws.take(WS_DXI);
+        let (mut dxu, mut dxi) = self.backward_scorer(grad_output);
         let mut dcu = self.ws.take(WS_DCU);
         let mut dci = self.ws.take(WS_DCI);
-        self.scorer.backward_into(grad_output, &mut dcat);
-        dcat.hsplit_into(self.config.embed_dim, &mut dxu, &mut dxi);
         self.user_embed.backward_into(&mut dxu, &mut dcu);
         self.item_embed.backward_into(&mut dxi, &mut dci);
         dcu.hstack_into(&dci, out);
-        self.ws.put(WS_DCAT, dcat);
         self.ws.put(WS_DXU, dxu);
         self.ws.put(WS_DXI, dxi);
         self.ws.put(WS_DCU, dcu);
         self.ws.put(WS_DCI, dci);
+    }
+
+    /// The content rows are data, so training skips the two embedding
+    /// layers' input gradients and the `[dc_u ; dc_i]` assembly.
+    fn backward_params(&mut self, grad_output: &mut Matrix, scratch: &mut Matrix) {
+        let (mut dxu, mut dxi) = self.backward_scorer(grad_output);
+        self.user_embed.backward_params(&mut dxu, scratch);
+        self.item_embed.backward_params(&mut dxi, scratch);
+        self.ws.put(WS_DXU, dxu);
+        self.ws.put(WS_DXI, dxi);
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
@@ -413,6 +431,52 @@ mod tests {
             scores.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             scores_into.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn backward_params_matches_backward_into_bitwise() {
+        // Training skips the content-side input gradients; the parameter
+        // gradients must not move, at any thread count and SIMD setting.
+        // 700 rows put the embedding layers' weight-gradient products on
+        // the row-parallel blocked path.
+        use metadpa_tensor::pool::with_threads;
+        use metadpa_tensor::simd::{self, Policy};
+        let bits = |ms: Vec<Matrix>| -> Vec<Vec<u32>> {
+            ms.iter().map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        let cfg = PreferenceConfig::default();
+        for threads in [1, 2] {
+            for policy in [Policy::ForcedScalar, Policy::Auto] {
+                with_threads(threads, || {
+                    simd::with_policy(policy, || {
+                        let mut rng = SeededRng::new(12);
+                        let mut full = PreferenceModel::new(cfg, &mut rng);
+                        let mut fast = PreferenceModel::new(cfg, &mut SeededRng::new(0));
+                        metadpa_nn::module::restore(
+                            &mut fast,
+                            &metadpa_nn::module::snapshot(&mut full),
+                        );
+                        zero_grad(&mut full);
+                        zero_grad(&mut fast);
+                        let (mut y, mut dx, mut scratch) =
+                            (Matrix::default(), Matrix::default(), Matrix::default());
+                        for step in 0..3 {
+                            let input = rng.normal_matrix(700, 2 * cfg.content_dim);
+                            let grad = rng.normal_matrix(700, 1);
+                            full.forward_into(&mut input.clone(), Mode::Train, &mut y);
+                            full.backward_into(&mut grad.clone(), &mut dx);
+                            fast.forward_into(&mut input.clone(), Mode::Train, &mut y);
+                            fast.backward_params(&mut grad.clone(), &mut scratch);
+                            assert_eq!(
+                                bits(metadpa_nn::module::snapshot_grads(&mut full)),
+                                bits(metadpa_nn::module::snapshot_grads(&mut fast)),
+                                "step {step}, threads {threads}, {policy:?}"
+                            );
+                        }
+                    })
+                });
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::param::Param;
 /// * `b` has shape `1 x out_dim`, initialized to zero.
 ///
 /// The backward pass accumulates `dW = x^T g`, `db = Σ_rows g` and returns
-/// `dx = g W^T`.
+/// `dx = g W^T`; [`Module::backward_params`] skips `dx`.
 pub struct Dense {
     weight: Param,
     bias: Param,
@@ -78,6 +78,25 @@ impl Dense {
     pub fn bias(&self) -> &Param {
         &self.bias
     }
+
+    /// `dW += x^T g`, `db += Σ_rows g` for the last forward's input `x`: the
+    /// same zeroed-product-then-add sequence as [`Module::backward`], but
+    /// into the layer workspace instead of fresh matrices.
+    fn accumulate_param_grads(&mut self, grad_output: &Matrix) {
+        let Self { weight, bias, cached_input, ws_dw, ws_db } = self;
+        let input = cached_input.as_ref().expect("Dense::backward called before forward");
+        assert_eq!(
+            grad_output.shape(),
+            (input.rows(), weight.value.cols()),
+            "Dense::backward: grad shape {:?} does not match output shape {:?}",
+            grad_output.shape(),
+            (input.rows(), weight.value.cols())
+        );
+        input.matmul_tn_into(grad_output, ws_dw);
+        weight.grad.add_inplace(ws_dw);
+        grad_output.sum_rows_into(ws_db);
+        bias.grad.add_inplace(ws_db);
+    }
 }
 
 impl Module for Dense {
@@ -132,22 +151,12 @@ impl Module for Dense {
     }
 
     fn backward_into(&mut self, grad_output: &mut Matrix, out: &mut Matrix) {
-        let Self { weight, bias, cached_input, ws_dw, ws_db } = self;
-        let input = cached_input.as_ref().expect("Dense::backward called before forward");
-        assert_eq!(
-            grad_output.shape(),
-            (input.rows(), weight.value.cols()),
-            "Dense::backward: grad shape {:?} does not match output shape {:?}",
-            grad_output.shape(),
-            (input.rows(), weight.value.cols())
-        );
-        // Same zeroed-product-then-add sequence as `backward`, but into the
-        // layer workspace instead of fresh matrices.
-        input.matmul_tn_into(grad_output, ws_dw);
-        weight.grad.add_inplace(ws_dw);
-        grad_output.sum_rows_into(ws_db);
-        bias.grad.add_inplace(ws_db);
-        grad_output.matmul_nt_into(&weight.value, out);
+        self.accumulate_param_grads(grad_output);
+        grad_output.matmul_nt_into(&self.weight.value, out);
+    }
+
+    fn backward_params(&mut self, grad_output: &mut Matrix, _scratch: &mut Matrix) {
+        self.accumulate_param_grads(grad_output);
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {

@@ -82,6 +82,10 @@ impl Module for Mlp {
         self.net.backward_into(grad_output, out);
     }
 
+    fn backward_params(&mut self, grad_output: &mut Matrix, scratch: &mut Matrix) {
+        self.net.backward_params(grad_output, scratch);
+    }
+
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         self.net.visit_params(visitor);
     }

@@ -26,7 +26,8 @@ pub enum Mode {
 ///    pass.
 /// 2. [`Module::backward`] consumes the gradient of the loss with respect to
 ///    the output of the *most recent* forward call, **accumulates** parameter
-///    gradients, and returns the gradient with respect to the input.
+///    gradients, and returns the gradient with respect to the input;
+///    [`Module::backward_params`] does the same without the input gradient.
 /// 3. [`Module::visit_params`] exposes every trainable [`Param`] in a stable
 ///    order, which optimizers and the MAML snapshot/restore helpers rely on.
 ///
@@ -60,6 +61,16 @@ pub trait Module {
     /// `grad_output`; its contents are unspecified after the call.
     fn backward_into(&mut self, grad_output: &mut Matrix, out: &mut Matrix) {
         *out = self.backward(grad_output);
+    }
+
+    /// Parameter-only twin of [`Module::backward_into`]: accumulates the
+    /// same parameter gradients, bit for bit, but may skip computing the
+    /// gradient w.r.t. the input. For callers that discard it — the input
+    /// is data, as for a model's first layer. Both buffers are scratch; their
+    /// contents are unspecified after the call. The default runs the full
+    /// backward pass into `scratch`.
+    fn backward_params(&mut self, grad_output: &mut Matrix, scratch: &mut Matrix) {
+        self.backward_into(grad_output, scratch);
     }
 
     /// Visits every trainable parameter in a stable order.

@@ -153,15 +153,18 @@ impl Adam {
         let bias2 = 1.0 - b2.powi(t as i32);
         let lr = self.lr;
         let eps = self.eps;
-        for i in 0..p.value.len() {
-            let g = p.grad.as_slice()[i];
-            let mi = b1 * m.as_slice()[i] + (1.0 - b1) * g;
-            let vi = b2 * v.as_slice()[i] + (1.0 - b2) * g * g;
-            m.as_mut_slice()[i] = mi;
-            v.as_mut_slice()[i] = vi;
-            let m_hat = mi / bias1;
-            let v_hat = vi / bias2;
-            p.value.as_mut_slice()[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+        // A zipped loop (no per-element bounds checks) so it vectorizes.
+        // Keep each per-element expression as written: trained parameters
+        // are pinned bitwise.
+        let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+        for ((w, &g), (mi, vi)) in
+            p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice()).zip(moments)
+        {
+            *mi = b1 * *mi + (1.0 - b1) * g;
+            *vi = b2 * *vi + (1.0 - b2) * g * g;
+            let m_hat = *mi / bias1;
+            let v_hat = *vi / bias2;
+            *w -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 }
@@ -263,6 +266,44 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn sgd_rejects_zero_lr() {
         let _ = Sgd::new(0.0);
+    }
+
+    #[test]
+    fn adam_step_is_bitwise_the_indexed_formula() {
+        // Pins the update against the original per-index loop over several
+        // steps, with zero, tiny, huge and negative gradients in the mix.
+        let mut rng = SeededRng::new(21);
+        let shape = (37, 29);
+        let mut p = Param::new(rng.normal_matrix(shape.0, shape.1));
+        let (lr, b1, b2, eps) = (3e-3f32, 0.9f32, 0.999f32, 1e-8f32);
+        let mut want = p.value.as_slice().to_vec();
+        let (mut m, mut v) = (vec![0.0f32; want.len()], vec![0.0f32; want.len()]);
+        let mut opt = Adam::new(lr);
+        for t in 1..=5u32 {
+            p.grad = rng.normal_matrix(shape.0, shape.1);
+            let g = p.grad.as_mut_slice();
+            g[0] = 0.0;
+            g[1] = -0.0;
+            g[2] = 1e-30;
+            g[3] = 1e20;
+            let g = p.grad.as_slice();
+            let bias1 = 1.0 - b1.powi(t as i32);
+            let bias2 = 1.0 - b2.powi(t as i32);
+            for i in 0..want.len() {
+                let mi = b1 * m[i] + (1.0 - b1) * g[i];
+                let vi = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
+                m[i] = mi;
+                v[i] = vi;
+                let m_hat = mi / bias1;
+                let v_hat = vi / bias2;
+                want[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+            opt.step_param_slot(&mut p, 0, t);
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(p.value.as_slice()), bits(&want), "step {t}");
+            assert_eq!(bits(opt.moments[0].0.as_slice()), bits(&m), "first moment, step {t}");
+            assert_eq!(bits(opt.moments[0].1.as_slice()), bits(&v), "second moment, step {t}");
+        }
     }
 
     #[test]

@@ -97,6 +97,26 @@ impl Module for Sequential {
         }
     }
 
+    fn backward_params(&mut self, grad_output: &mut Matrix, scratch: &mut Matrix) {
+        // The full chain down to the first layer, which skips its input
+        // gradient. An empty chain has no parameters.
+        let Some((first, rest)) = self.layers.split_first_mut() else { return };
+        let mut src_is_grad = true;
+        for layer in rest.iter_mut().rev() {
+            if src_is_grad {
+                layer.backward_into(grad_output, scratch);
+            } else {
+                layer.backward_into(scratch, grad_output);
+            }
+            src_is_grad = !src_is_grad;
+        }
+        if src_is_grad {
+            first.backward_params(grad_output, scratch);
+        } else {
+            first.backward_params(scratch, grad_output);
+        }
+    }
+
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(visitor);

@@ -382,6 +382,10 @@ impl FeedbackSink for Engine {
 
 #[cfg(test)]
 mod tests {
+    // Every test holds the observability test lock: some enable the
+    // process-wide recorder and read process-wide gauges, counters and
+    // drift state, which any engine or router used concurrently with
+    // observability on would write to.
     use super::*;
     use metadpa_core::artifact::artifact_from_learner;
     use metadpa_core::augmentation::DiversityReport;
@@ -414,6 +418,7 @@ mod tests {
 
     #[test]
     fn warm_then_adapted_cache_switches_source() {
+        let _obs = metadpa_obs::test_lock();
         let engine = tiny_engine(21);
         let (warm, source) = engine.recommend_user(2, 4).expect("warm");
         assert_eq!(source, ServeSource::Warm);
@@ -437,6 +442,7 @@ mod tests {
 
     #[test]
     fn cold_paths_score_without_a_user_id() {
+        let _obs = metadpa_obs::test_lock();
         let engine = tiny_engine(22);
         let by_mean = engine.recommend_cold_default(3).expect("default cold");
         assert_eq!(by_mean.len(), 3);
@@ -451,6 +457,7 @@ mod tests {
 
     #[test]
     fn serving_is_bit_identical_across_thread_counts() {
+        let _obs = metadpa_obs::test_lock();
         // The serve scoring path inherits the pool's determinism contract:
         // the same request must produce bit-identical scores no matter how
         // many threads the matmul kernels fan out across.
@@ -473,6 +480,7 @@ mod tests {
 
     #[test]
     fn drift_tracker_follows_the_fingerprint_and_stays_quiet_on_distribution() {
+        let _obs = metadpa_obs::test_lock();
         let engine = tiny_engine(25);
         assert!(engine.tracks_drift(), "export stamps a fingerprint");
         assert!(engine.drift_stat().is_none(), "no scores observed yet");
@@ -481,7 +489,6 @@ mod tests {
         engine.recommend_user(0, 3).expect("obs-off recommend");
         assert!(engine.drift_stat().is_none(), "drift is obs-gated");
 
-        let _obs = metadpa_obs::test_lock();
         metadpa_obs::enable(Arc::new(metadpa_obs::NullRecorder));
         metadpa_obs::metrics::reset();
         // Score every training user: the live window then holds the same
@@ -500,6 +507,7 @@ mod tests {
 
     #[test]
     fn adapted_cache_is_lru_bounded_and_bulk_invalidatable() {
+        let _obs = metadpa_obs::test_lock();
         let engine = Engine::with_adapt_capacity(tiny_rec(26), 2);
         let support = [(0usize, 1.0f32), (5, 0.0)];
         engine.adapt_user(0, &support).expect("adapt 0");
@@ -528,6 +536,7 @@ mod tests {
 
     #[test]
     fn adapted_cache_evicts_equal_ticks_deterministically() {
+        let _obs = metadpa_obs::test_lock();
         // Regression: the eviction scan used `min_by_key` on tick alone, so
         // equal-tick entries were evicted in HashMap iteration order —
         // different per process, breaking bit-exact feedback replay. The
@@ -565,6 +574,7 @@ mod tests {
 
     #[test]
     fn feedback_sink_graduation_installs_adapted_params() {
+        let _obs = metadpa_obs::test_lock();
         let engine = tiny_engine(27);
         let sink: &dyn FeedbackSink = &engine;
         sink.graduate(1, &[(0, 1.0), (3, 0.0), (4, 1.0)], true).expect("graduate");
@@ -581,6 +591,7 @@ mod tests {
 
     #[test]
     fn request_errors_pass_through_typed() {
+        let _obs = metadpa_obs::test_lock();
         let engine = tiny_engine(23);
         assert!(matches!(
             engine.recommend_user(99, 3),

@@ -575,6 +575,10 @@ pub fn router_with_feedback(
 
 #[cfg(test)]
 mod tests {
+    // Every test holds the observability test lock: some enable the
+    // process-wide recorder and read process-wide gauges, counters and
+    // drift state, which any engine or router used concurrently with
+    // observability on would write to.
     use super::*;
     use crate::engine::Engine;
     use crate::http::{serve, ServerConfig};
@@ -628,6 +632,7 @@ mod tests {
 
     #[test]
     fn end_to_end_routes_over_real_tcp() {
+        let _obs = metadpa_obs::test_lock();
         let engine = tiny_engine(31);
         let server = serve(ServerConfig::default(), router(Arc::clone(&engine))).expect("bind");
         let addr = server.addr();
@@ -688,10 +693,10 @@ mod tests {
 
     #[test]
     fn metrics_expose_pool_and_kernel_counters() {
+        let _obs = metadpa_obs::test_lock();
         // Counters only record while observability is on (the serve binary
         // enables it at startup); mirror that here, before the router is
         // built, so its zero-seeding registers the names.
-        let _obs = metadpa_obs::test_lock();
         metadpa_obs::enable(Arc::new(metadpa_obs::NullRecorder));
         metadpa_obs::metrics::reset();
         let engine = tiny_engine(34);
@@ -773,6 +778,7 @@ mod tests {
 
     #[test]
     fn request_problems_map_to_the_right_status_codes() {
+        let _obs = metadpa_obs::test_lock();
         let engine = tiny_engine(32);
         let server = serve(ServerConfig::default(), router(Arc::clone(&engine))).expect("bind");
         let addr = server.addr();
@@ -804,6 +810,7 @@ mod tests {
 
     #[test]
     fn feedback_route_validates_appends_and_fails_closed() {
+        let _obs = metadpa_obs::test_lock();
         let engine = tiny_engine(35);
 
         // Without a configured log the endpoint fails closed: 503, typed.
@@ -864,6 +871,7 @@ mod tests {
 
     #[test]
     fn nan_scoring_artifact_is_422_and_the_server_stays_alive() {
+        let _obs = metadpa_obs::test_lock();
         // A CRC-valid artifact whose weights are all NaN restores cleanly
         // but scores every catalogue item as NaN. Before the non-finite
         // guard in `ArtifactRecommender::rank` this panicked inside

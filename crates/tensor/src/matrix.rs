@@ -631,7 +631,7 @@ impl Matrix {
         metadpa_obs::counter_add!("tensor.matmul.calls", 1u64);
         metadpa_obs::counter_add!("tensor.matmul.flops", 2 * (m * k * n) as u64);
         let skip_zeros = zero_skip_allowed(self, other);
-        let skipped = if skip_zeros { count_zeros(&self.data) } else { 0 };
+        let skipped = skipped_rows(skip_zeros, &self.data);
         out.reset_zeroed(m, n);
         if m * k * n < NAIVE_MAX_MULADDS {
             metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
@@ -693,7 +693,7 @@ impl Matrix {
         metadpa_obs::counter_add!("tensor.matmul.calls", 1u64);
         metadpa_obs::counter_add!("tensor.matmul.flops", 2 * (m * k * n) as u64);
         let skip_zeros = zero_skip_allowed(self, other);
-        let skipped = if skip_zeros { count_zeros(&self.data) } else { 0 };
+        let skipped = skipped_rows(skip_zeros, &self.data);
         out.reset_zeroed(m, n);
         if m * k * n < NAIVE_MAX_MULADDS {
             metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
@@ -896,12 +896,17 @@ fn zero_skip_allowed(a: &Matrix, b: &Matrix) -> bool {
     a.data.contains(&0.0) && b.all_finite()
 }
 
-/// Number of exact zeros in `a` — with the skip enabled, exactly the number
-/// of `(i, p)` row additions every kernel elides, independent of how the
-/// kernel tiles the `j` loop. Counting analytically (one O(m·k) scan)
-/// instead of inside the kernels keeps the counters identical across the
-/// naive, blocked, and parallel paths.
-fn count_zeros(data: &[f32]) -> u64 {
+/// With the skip enabled, the number of exact zeros in the left operand
+/// `data` — exactly the number of `(i, p)` row additions every kernel
+/// elides, independent of how the kernel tiles the `j` loop. Counting
+/// analytically (one O(m·k) scan) instead of inside the kernels keeps the
+/// counters identical across the naive, blocked, and parallel paths. The
+/// count only feeds [`record_skipped`]'s counters, so the scan is skipped
+/// while observability is off.
+fn skipped_rows(skip_zeros: bool, data: &[f32]) -> u64 {
+    if !skip_zeros || !metadpa_obs::enabled() {
+        return 0;
+    }
     data.iter().filter(|&&v| v == 0.0).count() as u64
 }
 

@@ -6,6 +6,12 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== end-to-end benchmark build =="
+# e2ebench is a workspace of its own (path dependencies on the crates), so
+# the workspace build above does not compile it; build it here so a core,
+# nn or tensor API change that breaks the benchmark fails CI.
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== cargo test (default threads) =="
 cargo test --workspace -q
 
