@@ -7,7 +7,8 @@
 //! 1. `fit` once on the scenario's meta-training tasks (built from `R_w`),
 //! 2. per cold-start scenario, `fine_tune` on the testing tasks' support
 //!    sets (the harness snapshots and restores model state around this),
-//! 3. `score` each evaluation instance's candidates and aggregate
+//! 3. `score` each evaluation instance's candidates — through a frozen
+//!    [`Scorer`] when the system offers one — and aggregate
 //!    HR/MRR/NDCG/AUC.
 
 use std::sync::Mutex;
@@ -41,14 +42,32 @@ pub trait Recommender {
     /// Restores state produced by [`Recommender::snapshot_state`].
     fn restore_state(&mut self, state: &[Matrix]);
 
-    /// Forks an independent scorer with the *current* parameters, used by
-    /// the evaluation harness to fan per-user scoring out across the pool.
-    /// Implementations must guarantee the fork scores bit-identically to
-    /// `self`; returning `None` (the default) keeps evaluation serial, so
-    /// stateful or cheap recommenders need not implement it.
-    fn fork_scorer(&mut self) -> Option<Box<dyn Recommender + Send>> {
+    /// Freezes the *current* parameters into a score-only [`Scorer`] for
+    /// `domain`, which the evaluation harness scores every instance
+    /// through (and forks to fan scoring out across the pool). It must
+    /// score bit-identically to [`Recommender::score`] at the moment it
+    /// was built. Returning `None` (the default) makes the harness call
+    /// `score` on `self`, so stateful or cheap recommenders need not
+    /// implement it.
+    fn fork_scorer<'d>(&mut self, _domain: &'d Domain) -> Option<Box<dyn Scorer<'d> + 'd>> {
         None
     }
+}
+
+/// A frozen, score-only view of a fitted recommender on one domain.
+///
+/// It owns a copy of the parameters it was built from, so nothing done to
+/// the recommender afterwards — fine-tuning, `restore_state` — reaches it,
+/// and whatever it precomputes from them (MetaDPA's item-embedding table)
+/// never needs invalidating.
+pub trait Scorer<'d>: Send {
+    /// Scores candidate items for a user; higher means more preferred.
+    fn score(&mut self, user: usize, items: &[usize]) -> Vec<f32>;
+
+    /// An independent scorer with the same parameters for another pool
+    /// worker, sharing whatever read-only state it can. Takes `&mut self`
+    /// because reading a module's parameters does.
+    fn fork(&mut self) -> Box<dyn Scorer<'d> + 'd>;
 }
 
 /// Evaluates a fitted recommender on one scenario at several cutoffs,
@@ -75,12 +94,13 @@ pub fn evaluate_scenario_at_ks(
     // Per-instance score vectors, computed serially or fanned out across
     // the pool, then aggregated below in instance order either way — the
     // summaries are bit-identical at any thread count.
-    let pool = Pool::current();
-    let per_instance: Vec<Vec<f32>> = if pool.threads() > 1 && scenario.eval.len() > 1 {
-        parallel_instance_scores(rec, world, scenario, &pool)
-            .unwrap_or_else(|| serial_instance_scores(rec, world, scenario))
-    } else {
-        serial_instance_scores(rec, world, scenario)
+    let per_instance: Vec<Vec<f32>> = match rec.fork_scorer(&world.target) {
+        Some(scorer) => frozen_instance_scores(scorer, scenario),
+        None => scenario
+            .eval
+            .iter()
+            .map(|instance| rec.score(&world.target, instance.user, &instance.candidates()))
+            .collect(),
     };
 
     let mut summaries = vec![MetricSummary::default(); ks.len()];
@@ -95,53 +115,32 @@ pub fn evaluate_scenario_at_ks(
     summaries
 }
 
-/// Scores every eval instance on the calling thread, in order.
-fn serial_instance_scores(
-    rec: &mut dyn Recommender,
-    world: &World,
+/// Scores every eval instance through a frozen scorer, one contiguous
+/// chunk of instances per pool thread: `root` scores the first chunk and
+/// a fork of it each other one, so a one-thread pool copies nothing.
+fn frozen_instance_scores<'d>(
+    mut root: Box<dyn Scorer<'d> + 'd>,
     scenario: &Scenario,
 ) -> Vec<Vec<f32>> {
-    scenario
-        .eval
-        .iter()
-        .map(|instance| {
-            let candidates = instance.candidates();
-            let scores = rec.score(&world.target, instance.user, &candidates);
-            debug_assert_eq!(scores.len(), candidates.len());
-            scores
-        })
-        .collect()
-}
-
-/// Fans instance scoring out across the pool: one [`Recommender::fork_scorer`]
-/// per chunk of instances, created up front on the calling thread, each
-/// scoring its contiguous chunk. Returns `None` when the recommender does
-/// not support forking (the caller falls back to the serial loop).
-fn parallel_instance_scores(
-    rec: &mut dyn Recommender,
-    world: &World,
-    scenario: &Scenario,
-    pool: &Pool,
-) -> Option<Vec<Vec<f32>>> {
+    let pool = Pool::current();
     let chunks = pool.partition(scenario.eval.len());
-    let mut forks: Vec<Mutex<Box<dyn Recommender + Send>>> = Vec::with_capacity(chunks.len());
-    for _ in 0..chunks.len() {
-        forks.push(Mutex::new(rec.fork_scorer()?));
-    }
+    let forks: Vec<_> = (1..chunks.len()).map(|_| root.fork()).collect();
+    let scorers: Vec<Mutex<Box<dyn Scorer<'d> + 'd>>> =
+        std::iter::once(root).chain(forks).map(Mutex::new).collect();
     let per_chunk = pool.map_tasks(chunks.len(), |c| {
-        let mut fork = forks[c].lock().expect("eval fork scorer poisoned");
+        let mut scorer = scorers[c].lock().expect("eval scorer poisoned");
         chunks[c]
             .clone()
             .map(|e| {
                 let instance = &scenario.eval[e];
                 let candidates = instance.candidates();
-                let scores = fork.score(&world.target, instance.user, &candidates);
+                let scores = scorer.score(instance.user, &candidates);
                 debug_assert_eq!(scores.len(), candidates.len());
                 scores
             })
             .collect::<Vec<_>>()
     });
-    Some(per_chunk.into_iter().flatten().collect())
+    per_chunk.into_iter().flatten().collect()
 }
 
 /// Evaluates at a single cutoff (the Table III setting is `k = 10`).

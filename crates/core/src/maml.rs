@@ -18,7 +18,7 @@
 use metadpa_data::task::Task;
 use metadpa_nn::loss::bce_with_logits_into;
 use metadpa_nn::module::{
-    accumulate_grads, restore, snapshot, snapshot_grads, snapshot_into, zero_grad, Mode, Module,
+    accumulate_grads, restore, snapshot_grads, snapshot_into, zero_grad, Mode, Module,
 };
 use metadpa_nn::optim::{Adam, Optimizer, Sgd};
 use metadpa_tensor::pool::Team;
@@ -451,16 +451,20 @@ impl MetaLearner {
         self.config
     }
 
-    /// Builds an independent learner with identical parameters and
-    /// hyper-parameters. The construction seed is irrelevant — `restore`
-    /// overwrites every trainable parameter — so the fork scores
-    /// bit-identically to `self` (the serve artifact reload relies on the
-    /// same property).
-    pub fn fork(&mut self) -> MetaLearner {
-        let params = snapshot(&mut self.model);
-        let mut fork = MetaLearner::new(self.model.config(), self.config, &mut SeededRng::new(0));
-        restore(&mut fork.model, &params);
-        fork
+    /// Builds a learner holding `params` (a
+    /// [`metadpa_nn::module::snapshot`] of a model with
+    /// `pref_config`). The construction seed is irrelevant — `restore`
+    /// overwrites every trainable parameter — so it scores bit-identically
+    /// to the model the parameters were taken from (the serve artifact
+    /// reload relies on the same property).
+    pub fn with_params(
+        pref_config: PreferenceConfig,
+        maml_config: MamlConfig,
+        params: &[Matrix],
+    ) -> MetaLearner {
+        let mut learner = MetaLearner::new(pref_config, maml_config, &mut SeededRng::new(0));
+        restore(&mut learner.model, params);
+        learner
     }
 
     /// Meta-trains on a task set (originals plus augmented tasks, Eqs. 9-10).
@@ -745,6 +749,7 @@ impl MetaLearner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metadpa_nn::module::snapshot;
 
     fn toy_config() -> (PreferenceConfig, MamlConfig) {
         (
@@ -955,7 +960,7 @@ mod tests {
         let mut learner = MetaLearner::new(pc, mc, &mut rng);
         let (tasks, uc, ic) = toy_tasks(&mut rng, 8, 8);
         let _ = learner.meta_train(&tasks, &uc, &ic);
-        let mut fork = learner.fork();
+        let mut fork = MetaLearner::with_params(pc, mc, &snapshot(learner.model_mut()));
         let items: Vec<usize> = (0..8).collect();
         assert_eq!(learner.score(uc.row(3), &ic, &items), fork.score(uc.row(3), &ic, &items));
     }

@@ -18,6 +18,7 @@
 //! ME constraint, `MdiOnly` keeps only MDI, and `Plain` disables both
 //! (a Dual-CVAE-only augmentation baseline beyond the paper's two).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use metadpa_data::adaptation::{build_adaptation_pairs, AdaptationConfig};
@@ -30,7 +31,7 @@ use metadpa_tensor::{Matrix, SeededRng};
 use crate::adaptation::{AdapterTrainConfig, MultiSourceAdapter};
 use crate::augmentation::{build_augmented_tasks, diversity_report, DiversityReport};
 use crate::dual_cvae::DualCvaeConfig;
-use crate::eval::Recommender;
+use crate::eval::{Recommender, Scorer};
 use crate::maml::{MamlConfig, MetaLearner};
 use crate::noise_aug::{build_noise_augmented_tasks, NoiseAugConfig};
 use crate::preference::PreferenceConfig;
@@ -381,20 +382,52 @@ impl Recommender for MetaDpa {
         restore(self.learner_mut().model_mut(), state);
     }
 
-    fn fork_scorer(&mut self) -> Option<Box<dyn Recommender + Send>> {
-        // Forks carry the meta-learner (all scoring state) but not the
-        // adapter — scoring never touches it. Unfitted models can't fork,
-        // which sends the harness down the serial path (where scoring
-        // panics with the usual "call fit" message).
-        let learner = self.learner.as_mut()?;
-        Some(Box::new(MetaDpa {
-            config: self.config.clone(),
-            learner: Some(learner.fork()),
-            adapter: None,
-            diversity: self.diversity,
-            timings: self.timings,
-            run: self.run.clone(),
-        }))
+    fn fork_scorer<'d>(&mut self, domain: &'d Domain) -> Option<Box<dyn Scorer<'d> + 'd>> {
+        // Unfitted models can't fork, which sends the harness to `score`
+        // (where it panics with the usual "call fit" message).
+        let fitted = self.learner.as_mut()?;
+        Some(Box::new(EmbeddedScorer::new(fitted, domain)))
+    }
+}
+
+/// MetaDPA's frozen scorer: a copy of the preference model plus the item
+/// embedding table of `domain` built from it once, the way serving ranks.
+/// Scores are bit-identical to the full pass (see
+/// [`crate::preference::PreferenceModel::score_embedded_into`]).
+struct EmbeddedScorer<'d> {
+    learner: MetaLearner,
+    item_embeds: Arc<Matrix>,
+    domain: &'d Domain,
+}
+
+impl<'d> EmbeddedScorer<'d> {
+    fn new(fitted: &mut MetaLearner, domain: &'d Domain) -> Self {
+        let mut learner = copy_learner(fitted);
+        let item_embeds = Arc::new(learner.embed_items(&domain.item_content));
+        EmbeddedScorer { learner, item_embeds, domain }
+    }
+}
+
+/// A learner holding a copy of `learner`'s current parameters.
+fn copy_learner(learner: &mut MetaLearner) -> MetaLearner {
+    let (pref, maml) = (learner.model().config(), learner.config());
+    MetaLearner::with_params(pref, maml, &snapshot(learner.model_mut()))
+}
+
+impl<'d> Scorer<'d> for EmbeddedScorer<'d> {
+    fn score(&mut self, user: usize, items: &[usize]) -> Vec<f32> {
+        let mut out = Vec::with_capacity(items.len());
+        let uc = self.domain.user_content.row(user);
+        self.learner.score_embedded_into(uc, &self.item_embeds, items, &mut out);
+        out
+    }
+
+    fn fork(&mut self) -> Box<dyn Scorer<'d> + 'd> {
+        Box::new(EmbeddedScorer {
+            learner: copy_learner(&mut self.learner),
+            item_embeds: Arc::clone(&self.item_embeds),
+            domain: self.domain,
+        })
     }
 }
 
@@ -481,21 +514,105 @@ mod tests {
         }
     }
 
+    fn bits(scores: &[f32]) -> Vec<u32> {
+        scores.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn fork_scorer_matches_the_fitted_model() {
         let w = generate_world(&tiny_world(46));
         let sp = Splitter::new(&w.target, SplitConfig::default());
         let warm = sp.scenario(ScenarioKind::Warm);
         let mut model = MetaDpa::new(MetaDpaConfig::fast());
-        assert!(model.fork_scorer().is_none(), "unfitted models cannot fork");
+        assert!(model.fork_scorer(&w.target).is_none(), "unfitted models cannot fork");
         model.fit(&w, &warm);
-        let mut fork = model.fork_scorer().expect("fitted model forks");
-        let items: Vec<usize> = (0..w.target.n_items().min(6)).collect();
-        assert_eq!(
-            model.score(&w.target, 0, &items),
-            fork.score(&w.target, 0, &items),
-            "fork must score bit-identically"
-        );
+        let mut scorer = model.fork_scorer(&w.target).expect("fitted model forks");
+        let items: Vec<usize> = (0..w.target.n_items()).rev().collect();
+        for user in [0, 3] {
+            let full = bits(&model.score(&w.target, user, &items));
+            assert_eq!(full, bits(&scorer.score(user, &items)), "scorer must match");
+            assert_eq!(full, bits(&scorer.fork().score(user, &items)), "its forks too");
+        }
+        assert!(scorer.score(0, &[]).is_empty());
+    }
+
+    #[test]
+    fn frozen_scorers_never_see_later_parameter_changes() {
+        // A scorer (and its table) belongs to the parameters it was built
+        // from: one built before fine-tuning keeps scoring them, one built
+        // after scores the fine-tuned model, and after `restore_state` a
+        // new scorer matches the first again.
+        let w = generate_world(&tiny_world(47));
+        let sp = Splitter::new(&w.target, SplitConfig::default());
+        let warm = sp.scenario(ScenarioKind::Warm);
+        let cold = sp.scenario(ScenarioKind::ColdUser);
+        let mut model = MetaDpa::new(MetaDpaConfig::fast());
+        model.fit(&w, &warm);
+        let user = cold.eval[0].user;
+        let items: Vec<usize> = (0..w.target.n_items()).collect();
+
+        let before = bits(&model.score(&w.target, user, &items));
+        let mut fitted = model.fork_scorer(&w.target).expect("fitted model forks");
+        let state = model.snapshot_state();
+        model.fine_tune(&cold.finetune_tasks, &w.target);
+        let tuned = bits(&model.score(&w.target, user, &items));
+        assert_ne!(before, tuned, "fine-tuning must change the scores");
+        assert_eq!(before, bits(&fitted.score(user, &items)), "scorer built before fine_tune");
+        let mut after_tune = model.fork_scorer(&w.target).expect("fork");
+        assert_eq!(tuned, bits(&after_tune.score(user, &items)), "scorer built after fine_tune");
+
+        model.restore_state(&state);
+        let mut restored = model.fork_scorer(&w.target).expect("fork");
+        assert_eq!(before, bits(&restored.score(user, &items)), "scorer built after restore");
+        assert_eq!(tuned, bits(&after_tune.score(user, &items)), "older scorer stays frozen");
+        assert_eq!(before, bits(&model.score(&w.target, user, &items)));
+    }
+
+    /// Delegates everything to MetaDPA but offers no frozen scorer, so the
+    /// harness scores every instance through the full `score` pass.
+    struct FullPass(MetaDpa);
+
+    impl Recommender for FullPass {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn fit(&mut self, world: &World, scenario: &Scenario) {
+            self.0.fit(world, scenario);
+        }
+        fn fine_tune(&mut self, tasks: &[Task], domain: &Domain) {
+            self.0.fine_tune(tasks, domain);
+        }
+        fn score(&mut self, domain: &Domain, user: usize, items: &[usize]) -> Vec<f32> {
+            self.0.score(domain, user, items)
+        }
+        fn snapshot_state(&mut self) -> Vec<Matrix> {
+            self.0.snapshot_state()
+        }
+        fn restore_state(&mut self, state: &[Matrix]) {
+            self.0.restore_state(state);
+        }
+    }
+
+    #[test]
+    fn table_scoring_evaluates_bit_identically_to_the_full_pass() {
+        let w = generate_world(&tiny_world(48));
+        let sp = Splitter::new(&w.target, SplitConfig::default());
+        let warm = sp.scenario(ScenarioKind::Warm);
+        let mut model = FullPass(MetaDpa::new(MetaDpaConfig::fast()));
+        model.fit(&w, &warm);
+        let summary = |s: &metadpa_metrics::MetricSummary| {
+            (s.count, s.hr.to_bits(), s.mrr.to_bits(), s.ndcg.to_bits(), s.auc.to_bits())
+        };
+        for kind in ScenarioKind::ALL {
+            let scenario = sp.scenario(kind);
+            let want = summary(&evaluate_scenario(&mut model, &w, &scenario, 10));
+            for threads in [1, 2, 7] {
+                let got = metadpa_tensor::pool::with_threads(threads, || {
+                    summary(&evaluate_scenario(&mut model.0, &w, &scenario, 10))
+                });
+                assert_eq!(want, got, "{kind:?} at threads={threads}");
+            }
+        }
     }
 
     #[test]

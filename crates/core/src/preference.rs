@@ -233,6 +233,14 @@ impl PreferenceModel {
     }
 }
 
+/// Whether every row of `m` is bitwise equal to its first row.
+fn rows_all_equal(m: &Matrix) -> bool {
+    let Some(first) = m.row_iter().next() else {
+        return true;
+    };
+    m.row_iter().skip(1).all(|row| row.iter().zip(first).all(|(a, b)| a.to_bits() == b.to_bits()))
+}
+
 impl Module for PreferenceModel {
     fn forward(&mut self, input: &Matrix, mode: Mode) -> Matrix {
         assert_eq!(
@@ -268,7 +276,14 @@ impl Module for PreferenceModel {
         let mut xi = self.ws.take(WS_XI);
         let mut cat = self.ws.take(WS_CAT);
         input.hsplit_into(self.config.content_dim, &mut cu, &mut ci);
-        self.user_embed.forward_into(&mut cu, mode, &mut xu);
+        // Training and scoring batches tile one user's row across every
+        // candidate: embed it once (bit-identical, see
+        // `Dense::forward_tiled_into`).
+        if rows_all_equal(&cu) {
+            self.user_embed.forward_tiled_into(&mut cu, &mut xu);
+        } else {
+            self.user_embed.forward_into(&mut cu, mode, &mut xu);
+        }
         self.item_embed.forward_into(&mut ci, mode, &mut xi);
         xu.hstack_into(&xi, &mut cat);
         self.scorer.forward_into(&mut cat, mode, out);

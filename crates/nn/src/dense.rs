@@ -1,5 +1,6 @@
 //! Fully connected (affine) layer.
 
+use metadpa_tensor::simd::{self, Policy};
 use metadpa_tensor::{Matrix, SeededRng};
 
 use crate::init::xavier_uniform;
@@ -25,6 +26,10 @@ pub struct Dense {
     /// addition order matches `backward` bit for bit.
     ws_dw: Matrix,
     ws_db: Matrix,
+    /// Workspace for [`Dense::forward_tiled_into`]: the first input row and
+    /// its output row.
+    ws_row_in: Matrix,
+    ws_row_out: Matrix,
 }
 
 impl Dense {
@@ -36,6 +41,8 @@ impl Dense {
             cached_input: None,
             ws_dw: Matrix::default(),
             ws_db: Matrix::default(),
+            ws_row_in: Matrix::default(),
+            ws_row_out: Matrix::default(),
         }
     }
 
@@ -56,6 +63,8 @@ impl Dense {
             cached_input: None,
             ws_dw: Matrix::default(),
             ws_db: Matrix::default(),
+            ws_row_in: Matrix::default(),
+            ws_row_out: Matrix::default(),
         }
     }
 
@@ -79,11 +88,49 @@ impl Dense {
         &self.bias
     }
 
+    /// [`Module::forward_into`] for an input whose rows are all equal, such
+    /// as one user's content row tiled across a batch of candidates. The
+    /// product runs on the first row only and its result is copied to every
+    /// output row. Each kernel computes an output row from its own input
+    /// row alone, so this is bit-identical to the full product. The whole
+    /// tiled input is still cached, so the next backward pass (and its
+    /// `dW = x^T g`) is unchanged.
+    ///
+    /// Under [`Policy::Fused`] this runs the full product instead: a wide
+    /// batch would take the fused blocked kernels there, while a single row
+    /// stays on the exact naive one, and the two round differently.
+    ///
+    /// The caller guarantees the rows are equal; nothing here checks it.
+    pub fn forward_tiled_into(&mut self, input: &mut Matrix, out: &mut Matrix) {
+        assert_eq!(
+            input.cols(),
+            self.in_dim(),
+            "Dense::forward: input dim {} does not match layer in_dim {}",
+            input.cols(),
+            self.in_dim()
+        );
+        let rows = input.rows();
+        if rows == 0 || simd::current_policy() == Policy::Fused {
+            self.forward_into(input, Mode::Eval, out);
+            return;
+        }
+        let Self { weight, bias, cached_input, ws_row_in, ws_row_out, .. } = self;
+        ws_row_in.resize_for_overwrite(1, input.cols());
+        ws_row_in.row_mut(0).copy_from_slice(input.row(0));
+        ws_row_in.matmul_into(&weight.value, ws_row_out);
+        ws_row_out.add_row_broadcast_inplace(&bias.value);
+        out.resize_for_overwrite(rows, ws_row_out.cols());
+        for r in 0..rows {
+            out.row_mut(r).copy_from_slice(ws_row_out.row(0));
+        }
+        std::mem::swap(cached_input.get_or_insert_with(Matrix::default), input);
+    }
+
     /// `dW += x^T g`, `db += Σ_rows g` for the last forward's input `x`: the
     /// same zeroed-product-then-add sequence as [`Module::backward`], but
     /// into the layer workspace instead of fresh matrices.
     fn accumulate_param_grads(&mut self, grad_output: &Matrix) {
-        let Self { weight, bias, cached_input, ws_dw, ws_db } = self;
+        let Self { weight, bias, cached_input, ws_dw, ws_db, .. } = self;
         let input = cached_input.as_ref().expect("Dense::backward called before forward");
         assert_eq!(
             grad_output.shape(),
@@ -196,6 +243,38 @@ mod tests {
         let _ = layer.forward(&x, Mode::Train);
         let _ = layer.backward(&g);
         assert_eq!(layer.weight().grad, Matrix::from_vec(2, 1, vec![8.0, 12.0]));
+    }
+
+    #[test]
+    fn tiled_forward_matches_the_full_product_bitwise() {
+        // One row tiled m times: the broadcast forward must reproduce the
+        // full product's bits and leave the same cache for backward, at
+        // every dispatch path the row count reaches.
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = SeededRng::new(9);
+        let mut full = Dense::new(48, 32, &mut rng);
+        let mut tiled = Dense::from_parts(full.weight().value.clone(), full.bias().value.clone());
+        let mut row = rng.normal_matrix(1, 48);
+        row.as_mut_slice()[3] = 0.0;
+        row.as_mut_slice()[5] = -0.0;
+        for policy in [Policy::ForcedScalar, Policy::Auto, Policy::Fused] {
+            for m in [0usize, 1, 2, 23, 100, 700] {
+                simd::with_policy(policy, || {
+                    let input = Matrix::from_fn(m, 48, |_, c| row.get(0, c));
+                    let (mut y_full, mut y_tiled) = (Matrix::default(), Matrix::default());
+                    full.forward_into(&mut input.clone(), Mode::Train, &mut y_full);
+                    tiled.forward_tiled_into(&mut input.clone(), &mut y_tiled);
+                    assert_eq!(y_full.shape(), y_tiled.shape(), "m={m} {policy:?}");
+                    assert_eq!(bits(&y_full), bits(&y_tiled), "m={m} {policy:?}");
+                    let g = rng.normal_matrix(m, 32);
+                    let dx_full = full.backward(&g);
+                    let dx_tiled = tiled.backward(&g);
+                    assert_eq!(bits(&dx_full), bits(&dx_tiled), "m={m} {policy:?}");
+                    assert_eq!(bits(&full.weight().grad), bits(&tiled.weight().grad));
+                    assert_eq!(bits(&full.bias().grad), bits(&tiled.bias().grad));
+                });
+            }
+        }
     }
 
     #[test]

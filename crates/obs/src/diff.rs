@@ -208,7 +208,7 @@ pub fn check(current: &BenchReport, baseline: &BenchReport, tolerance: f64) -> C
             lines.push((cur.name.clone(), BlockVerdict::NewInCurrent));
         }
     }
-    CheckReport { lines, regressions, hardware_match: current.host == baseline.host }
+    CheckReport { lines, regressions, hardware_match: current.host.matches(&baseline.host) }
 }
 
 #[cfg(test)]
@@ -305,7 +305,12 @@ mod tests {
     #[test]
     fn check_detects_hardware_mismatch() {
         let baseline = BenchReport {
-            host: HostInfo { arch: "riscv64".into(), os: "plan9".into(), cpus: 1024 },
+            host: HostInfo {
+                arch: "riscv64".into(),
+                os: "plan9".into(),
+                cpus: 1024,
+                simd: Some("scalar".into()),
+            },
             ..bench_report(vec![bench("a", 1000)])
         };
         let current = bench_report(vec![bench("a", 5000)]);

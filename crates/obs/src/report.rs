@@ -365,6 +365,11 @@ pub struct HostInfo {
     pub os: String,
     /// Available parallelism at record time.
     pub cpus: u64,
+    /// Vector features the matmul kernels can dispatch to: `"avx2+fma"` or
+    /// `"scalar"`, the strings `metadpa_tensor::simd::feature_string`
+    /// reports. `None` for records written before the field existed —
+    /// unknown, so they never match any host.
+    pub simd: Option<String>,
 }
 
 impl HostInfo {
@@ -374,8 +379,34 @@ impl HostInfo {
             arch: std::env::consts::ARCH.to_string(),
             os: std::env::consts::OS.to_string(),
             cpus: std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1),
+            simd: Some(simd_features().to_string()),
         }
     }
+
+    /// Whether numbers recorded on `other` may gate numbers recorded on
+    /// `self`: same architecture, OS, CPU count and SIMD features, with the
+    /// features known on both sides (a kernel row timed with AVX2 says
+    /// nothing about a scalar-only host).
+    pub fn matches(&self, other: &HostInfo) -> bool {
+        self.arch == other.arch
+            && self.os == other.os
+            && self.cpus == other.cpus
+            && self.simd.is_some()
+            && self.simd == other.simd
+    }
+}
+
+/// The host's matmul kernel features, detected here rather than asked of
+/// `metadpa-tensor` (which depends on this crate) with the same probe.
+fn simd_features() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            return "avx2+fma";
+        }
+    }
+    "scalar"
 }
 
 /// One timed block inside a BENCH report.
@@ -433,6 +464,9 @@ impl BenchReport {
         host.str_field("arch", &self.host.arch)
             .str_field("os", &self.host.os)
             .u64_field("cpus", self.host.cpus);
+        if let Some(simd) = &self.host.simd {
+            host.str_field("simd", simd);
+        }
         let mut blocks = String::from("[\n");
         for (i, b) in self.blocks.iter().enumerate() {
             if i > 0 {
@@ -493,6 +527,7 @@ impl BenchReport {
             arch: host.get("arch").and_then(JsonValue::as_str).unwrap_or("").to_string(),
             os: host.get("os").and_then(JsonValue::as_str).unwrap_or("").to_string(),
             cpus: host.get("cpus").and_then(JsonValue::as_u64).unwrap_or(0),
+            simd: host.get("simd").and_then(JsonValue::as_str).map(str::to_string),
         };
         let mut blocks = Vec::new();
         for b in v.get("blocks").and_then(JsonValue::as_arr).ok_or("missing blocks array")? {
@@ -597,7 +632,12 @@ mod tests {
         let report = BenchReport {
             git_rev: "abc123".into(),
             scenario: "microbench.blocks".into(),
-            host: HostInfo { arch: "x86_64".into(), os: "linux".into(), cpus: 8 },
+            host: HostInfo {
+                arch: "x86_64".into(),
+                os: "linux".into(),
+                cpus: 8,
+                simd: Some("avx2+fma".into()),
+            },
             requests: 27_000,
             run_id: "run-0000000000000007-00000000deadbeef-1".into(),
             blocks: vec![BenchBlock {
@@ -615,6 +655,39 @@ mod tests {
         let parsed = BenchReport::from_json(&report.to_json()).expect("round trip");
         assert_eq!(parsed, report);
         assert!(report.to_json().contains("metadpa-bench/v3"));
+    }
+
+    #[test]
+    fn host_simd_features_round_trip_and_unknown_never_matches() {
+        let current = HostInfo::current();
+        assert!(current.simd.is_some(), "the running host always knows its features");
+        assert!(current.matches(&current));
+        let mut report = BenchReport {
+            git_rev: "abc".into(),
+            scenario: "microbench.kernels".into(),
+            host: current.clone(),
+            requests: 0,
+            run_id: String::new(),
+            blocks: Vec::new(),
+        };
+        let parsed = BenchReport::from_json(&report.to_json()).expect("round trip");
+        assert_eq!(parsed.host, current);
+        assert!(report.to_json().contains("\"simd\":"));
+
+        // Same machine, other kernel features: never comparable.
+        let other = if current.simd.as_deref() == Some("scalar") { "avx2+fma" } else { "scalar" };
+        let scalar = HostInfo { simd: Some(other.into()), ..current.clone() };
+        assert!(!current.matches(&scalar) && !scalar.matches(&current));
+
+        // A record without the field decodes as unknown and matches nothing,
+        // not even an identical unknown record.
+        report.host.simd = None;
+        let json = report.to_json();
+        assert!(!json.contains("simd"));
+        let unknown = BenchReport::from_json(&json).expect("decodes").host;
+        assert_eq!(unknown.simd, None);
+        assert!(!unknown.matches(&current) && !current.matches(&unknown));
+        assert!(!unknown.matches(&unknown));
     }
 
     #[test]

@@ -50,7 +50,12 @@ impl Response {
 }
 
 /// The application: maps a request to a response. Must be panic-free for
-/// well-formed input; panics kill only the offending worker's connection.
+/// well-formed input. The worker loop does not catch panics: a handler
+/// panic unwinds out of the `serve-worker-N` thread, which exits for good
+/// (the server keeps running on the remaining workers, one fewer each
+/// time), and a panic while the handler holds the engine lock poisons that
+/// lock for every later request. Isolating panics at the request boundary
+/// is ROADMAP item 6.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
 /// Transport configuration.

@@ -601,12 +601,14 @@ impl Matrix {
 
     /// Matrix product `self @ other` (`m x k` times `k x n`).
     ///
-    /// Dispatches to the cache-blocked, B-panel-packed kernel for non-tiny
-    /// shapes and to the retained [`crate::reference`] kernel below
-    /// `NAIVE_MAX_MULADDS`; both accumulate each output element over `p` in
-    /// ascending order, so the result is bit-identical regardless of the
-    /// path taken — and bit-identical at any thread count, since the
-    /// parallel path only partitions output rows.
+    /// Dispatches a single-column `other` (the scoring head's `n = 1`) to
+    /// a direct dot-product kernel, other tiny shapes (below
+    /// `NAIVE_MAX_MULADDS`) to the retained [`crate::reference`] kernel, and
+    /// the rest to the cache-blocked, B-panel-packed kernel. All of them
+    /// accumulate each output element over `p` in ascending order from
+    /// `+0.0`, so the result is bit-identical regardless of the path taken —
+    /// and bit-identical at any thread count, since the parallel path only
+    /// partitions output rows.
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows`.
@@ -630,41 +632,43 @@ impl Matrix {
         let (m, k, n) = (self.rows, self.cols, other.cols);
         metadpa_obs::counter_add!("tensor.matmul.calls", 1u64);
         metadpa_obs::counter_add!("tensor.matmul.flops", 2 * (m * k * n) as u64);
-        let skip_zeros = zero_skip_allowed(self, other);
-        let skipped = skipped_rows(skip_zeros, &self.data);
+        if n == 1 && !fused_blocked(m * k) {
+            metadpa_obs::counter_add!("tensor.matmul.dispatch.narrow", 1u64);
+            out.reset_for_overwrite(m, 1);
+            matvec(&self.data, k, &other.data, &mut out.data);
+            return;
+        }
         out.reset_zeroed(m, n);
         if m * k * n < NAIVE_MAX_MULADDS {
             metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
-            crate::reference::matmul_rows(self, other, 0..m, skip_zeros, &mut out.data);
-        } else {
-            metadpa_obs::counter_add!("tensor.matmul.dispatch.blocked", 1u64);
-            let path = crate::simd::resolve_and_count();
-            if path == crate::simd::Path::Scalar {
-                with_b_panels(&other.data, k, n, |panels, panel_w| {
-                    run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
-                        let arows = &self.data[rows.start * k..rows.end * k];
-                        blocked_rows(arows, rows.len(), k, panels, panel_w, n, skip_zeros, tile);
-                    });
-                });
-            } else {
-                crate::simd::with_b_tiles(&other.data, k, n, |tiles| {
-                    run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
-                        let arows = &self.data[rows.start * k..rows.end * k];
-                        crate::simd::blocked_rows_simd(
-                            arows,
-                            rows.len(),
-                            k,
-                            tiles,
-                            n,
-                            skip_zeros,
-                            path.fused(),
-                            tile,
-                        );
-                    });
-                });
-            }
+            crate::reference::matmul_rows(self, other, 0..m, false, &mut out.data);
+            return;
         }
-        record_skipped(skipped, n);
+        metadpa_obs::counter_add!("tensor.matmul.dispatch.blocked", 1u64);
+        let path = crate::simd::resolve_and_count();
+        if path == crate::simd::Path::Scalar {
+            with_b_panels(&other.data, k, n, |panels, panel_w| {
+                run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
+                    let arows = &self.data[rows.start * k..rows.end * k];
+                    blocked_rows(arows, rows.len(), k, panels, panel_w, n, tile);
+                });
+            });
+        } else {
+            crate::simd::with_b_tiles(&other.data, k, n, |tiles| {
+                run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
+                    let arows = &self.data[rows.start * k..rows.end * k];
+                    crate::simd::blocked_rows_simd(
+                        arows,
+                        rows.len(),
+                        k,
+                        tiles,
+                        n,
+                        path.fused(),
+                        tile,
+                    );
+                });
+            });
+        }
     }
 
     /// `self^T @ other` without materializing the transpose
@@ -692,59 +696,51 @@ impl Matrix {
         let (k, m, n) = (self.rows, self.cols, other.cols);
         metadpa_obs::counter_add!("tensor.matmul.calls", 1u64);
         metadpa_obs::counter_add!("tensor.matmul.flops", 2 * (m * k * n) as u64);
-        let skip_zeros = zero_skip_allowed(self, other);
-        let skipped = skipped_rows(skip_zeros, &self.data);
         out.reset_zeroed(m, n);
+        if n == 1 && !fused_blocked(m * k) {
+            metadpa_obs::counter_add!("tensor.matmul.dispatch.narrow", 1u64);
+            matvec_t(&self.data, m, &other.data, &mut out.data);
+            return;
+        }
         if m * k * n < NAIVE_MAX_MULADDS {
             metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
-            crate::reference::matmul_tn_rows(self, other, 0..m, skip_zeros, &mut out.data);
-        } else {
-            metadpa_obs::counter_add!("tensor.matmul.dispatch.blocked", 1u64);
-            let path = crate::simd::resolve_and_count();
-            if path == crate::simd::Path::Scalar {
-                with_b_panels(&other.data, k, n, |panels, panel_w| {
-                    run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
-                        // The transposed operand is accessed with stride `m`;
-                        // pack this task's A^T rows contiguous once, then run
-                        // the same blocked kernel as the NN case.
-                        PACK_A.with(|buf| {
-                            let mut apack = buf.borrow_mut();
-                            pack_at_rows(&self.data, k, m, rows.clone(), &mut apack);
-                            blocked_rows(
-                                &apack,
-                                rows.len(),
-                                k,
-                                panels,
-                                panel_w,
-                                n,
-                                skip_zeros,
-                                tile,
-                            );
-                        });
-                    });
-                });
-            } else {
-                crate::simd::with_b_tiles(&other.data, k, n, |tiles| {
-                    run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
-                        PACK_A.with(|buf| {
-                            let mut apack = buf.borrow_mut();
-                            pack_at_rows(&self.data, k, m, rows.clone(), &mut apack);
-                            crate::simd::blocked_rows_simd(
-                                &apack,
-                                rows.len(),
-                                k,
-                                tiles,
-                                n,
-                                skip_zeros,
-                                path.fused(),
-                                tile,
-                            );
-                        });
-                    });
-                });
-            }
+            crate::reference::matmul_tn_rows(self, other, 0..m, false, &mut out.data);
+            return;
         }
-        record_skipped(skipped, n);
+        metadpa_obs::counter_add!("tensor.matmul.dispatch.blocked", 1u64);
+        let path = crate::simd::resolve_and_count();
+        if path == crate::simd::Path::Scalar {
+            with_b_panels(&other.data, k, n, |panels, panel_w| {
+                run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
+                    // The transposed operand is accessed with stride `m`;
+                    // pack this task's A^T rows contiguous once, then run
+                    // the same blocked kernel as the NN case.
+                    PACK_A.with(|buf| {
+                        let mut apack = buf.borrow_mut();
+                        pack_at_rows(&self.data, k, m, rows.clone(), &mut apack);
+                        blocked_rows(&apack, rows.len(), k, panels, panel_w, n, tile);
+                    });
+                });
+            });
+        } else {
+            crate::simd::with_b_tiles(&other.data, k, n, |tiles| {
+                run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
+                    PACK_A.with(|buf| {
+                        let mut apack = buf.borrow_mut();
+                        pack_at_rows(&self.data, k, m, rows.clone(), &mut apack);
+                        crate::simd::blocked_rows_simd(
+                            &apack,
+                            rows.len(),
+                            k,
+                            tiles,
+                            n,
+                            path.fused(),
+                            tile,
+                        );
+                    });
+                });
+            });
+        }
     }
 
     /// `self @ other^T` without materializing the transpose
@@ -772,10 +768,17 @@ impl Matrix {
         let (m, k, n) = (self.rows, self.cols, other.rows);
         metadpa_obs::counter_add!("tensor.matmul.calls", 1u64);
         metadpa_obs::counter_add!("tensor.matmul.flops", 2 * (m * k * n) as u64);
-        out.reset_zeroed(m, n);
         // Packing B^T costs k*n writes, amortized over the m output rows —
         // worth it only when there are at least a few rows to amortize over.
-        if m * k * n < NAIVE_MAX_MULADDS || m < MR {
+        let blocked = m * k * n >= NAIVE_MAX_MULADDS && m >= MR;
+        if k == 1 && !(blocked && crate::simd::fused_selected()) {
+            metadpa_obs::counter_add!("tensor.matmul.dispatch.narrow", 1u64);
+            out.reset_for_overwrite(m, n);
+            outer(&self.data, &other.data, &mut out.data);
+            return;
+        }
+        out.reset_zeroed(m, n);
+        if !blocked {
             metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
             crate::reference::matmul_nt_rows(self, other, 0..m, &mut out.data);
         } else {
@@ -785,9 +788,7 @@ impl Matrix {
                 with_bt_panels(&other.data, k, n, |panels, panel_w| {
                     run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
                         let arows = &self.data[rows.start * k..rows.end * k];
-                        // No zero-skip: the nt form never had one, and eliding
-                        // terms here would change which elements see 0·NaN.
-                        blocked_rows(arows, rows.len(), k, panels, panel_w, n, false, tile);
+                        blocked_rows(arows, rows.len(), k, panels, panel_w, n, tile);
                     });
                 });
             } else {
@@ -800,7 +801,6 @@ impl Matrix {
                             k,
                             tiles,
                             n,
-                            false,
                             path.fused(),
                             tile,
                         );
@@ -847,13 +847,17 @@ impl Matrix {
 /// block has to amortize that many times over before threads pay off. The
 /// MAML inner loops and per-request serve scoring sit far below this and
 /// never touch the pool; batch scoring and CVAE training sit above it.
+/// Single-column (`n = 1`, and `k = 1` for `matmul_nt`) products run the
+/// serial narrow kernels whatever their size, outside the fused policy.
 const PAR_MIN_MULADDS: usize = 1 << 20;
 
 /// Work below which the blocked kernel (packing + register tiling) costs
 /// more than it saves and the product routes to the retained naive kernel
 /// in [`crate::reference`] instead. Safe at any value: both kernels
 /// accumulate each output element in the same order, so the dispatch choice
-/// never changes a single bit of the result.
+/// never changes a single bit of the result. Checked after the narrow
+/// kernels ([`matvec`], [`matvec_t`], [`outer`]) have taken the
+/// single-column shapes.
 const NAIVE_MAX_MULADDS: usize = 1 << 12;
 
 /// Width (in f32 columns) of one packed B panel. `k x JT` floats per panel:
@@ -882,41 +886,60 @@ thread_local! {
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Whether the `a == 0.0` fast path may elide additions for this product.
-///
-/// Skipping `0 · b` is only sound when `b`'s row is finite: `0 · NaN` and
-/// `0 · ∞` are `NaN`, and eliding them silently converts a diverging
-/// model's activations into clean-looking zeros. `other.all_finite()` is
-/// hoisted out of the kernel — one scan instead of one per element — and is
-/// only paid at all when `self` actually contains zeros. For finite `b` the
-/// skip is bitwise safe: the accumulator starts at `+0.0` and IEEE-754
-/// addition can never turn it into `-0.0`, so skipping a `± 0.0` addend
-/// changes nothing.
-fn zero_skip_allowed(a: &Matrix, b: &Matrix) -> bool {
-    a.data.contains(&0.0) && b.all_finite()
+/// Whether a product of `muladds` multiply-adds would run the FMA-fused
+/// blocked kernels. Those round once per multiply-add, so the exact narrow
+/// kernels must leave such products to them; below `NAIVE_MAX_MULADDS`
+/// the fused policy already runs the exact naive kernel.
+fn fused_blocked(muladds: usize) -> bool {
+    muladds >= NAIVE_MAX_MULADDS && crate::simd::fused_selected()
 }
 
-/// With the skip enabled, the number of exact zeros in the left operand
-/// `data` — exactly the number of `(i, p)` row additions every kernel
-/// elides, independent of how the kernel tiles the `j` loop. Counting
-/// analytically (one O(m·k) scan) instead of inside the kernels keeps the
-/// counters identical across the naive, blocked, and parallel paths. The
-/// count only feeds [`record_skipped`]'s counters, so the scan is skipped
-/// while observability is off.
-fn skipped_rows(skip_zeros: bool, data: &[f32]) -> u64 {
-    if !skip_zeros || !metadpa_obs::enabled() {
-        return 0;
+/// Narrow kernel for `a @ b` with a single-column `b` (`m x k` times
+/// `k x 1`), the scoring head's forward shape: one dot product per output
+/// row, summed over `p` in ascending order from `+0.0` — the naive
+/// kernel's per-element sequence, minus its per-row slice and axpy set-up.
+fn matvec(a: &[f32], k: usize, b: &[f32], out: &mut [f32]) {
+    if k == 0 {
+        out.fill(0.0);
+        return;
     }
-    data.iter().filter(|&&v| v == 0.0).count() as u64
+    for (o, row) in out.iter_mut().zip(a.chunks_exact(k)) {
+        let mut acc = 0.0f32;
+        for (&x, &y) in row.iter().zip(b) {
+            acc += x * y;
+        }
+        *o = acc;
+    }
 }
 
-/// Bumps the effective-FLOP counters for `skipped` elided row additions of
-/// width `n`, so `obs-report` can show effective vs nominal FLOPs (the
-/// `tensor.matmul.flops` counter is nominal `2·m·k·n`).
-fn record_skipped(skipped: u64, n: usize) {
-    if skipped > 0 {
-        metadpa_obs::counter_add!("tensor.matmul.skipped_rows", skipped);
-        metadpa_obs::counter_add!("tensor.matmul.flops_skipped", 2 * n as u64 * skipped);
+/// Narrow kernel for `a^T @ b` with a single-column `b` (`k x m`^T times
+/// `k x 1`), the scoring head's weight-gradient shape: `out` must arrive
+/// zeroed, and each step `p` adds `a[p, :] · b[p]` to every output, so each
+/// element still sums its `k` addends in ascending `p` order from `+0.0`
+/// while the inner loop runs over contiguous memory.
+fn matvec_t(a: &[f32], m: usize, b: &[f32], out: &mut [f32]) {
+    if m == 0 {
+        return;
+    }
+    for (row, &bv) in a.chunks_exact(m).zip(b) {
+        for (o, &av) in out.iter_mut().zip(row) {
+            *o += av * bv;
+        }
+    }
+}
+
+/// Narrow kernel for `a @ b^T` with `k = 1` (`m x 1` times `n x 1`^T), the
+/// scoring head's input-gradient shape: an outer product. Written as
+/// `0.0 + a·b`, the one-addend sum every other kernel computes, so a `-0.0`
+/// product still comes out as `+0.0`.
+fn outer(a: &[f32], b: &[f32], out: &mut [f32]) {
+    if b.is_empty() {
+        return;
+    }
+    for (orow, &av) in out.chunks_exact_mut(b.len()).zip(a) {
+        for (o, &bv) in orow.iter_mut().zip(b) {
+            *o = 0.0 + av * bv;
+        }
     }
 }
 
@@ -1037,7 +1060,14 @@ fn run_rows(
 /// code — the `METADPA_SIMD=off` fallback. The exact SIMD kernel performs
 /// the identical mul-round/add-round sequence per element, so the
 /// scalar/SIMD choice never changes a bit either (DESIGN §14).
-#[allow(clippy::too_many_arguments)]
+///
+/// Every term is computed, exact zeros in A included. The naive reference
+/// elides `0·b` rows when B is finite, which is bitwise the same: the
+/// accumulator starts at `+0.0` and IEEE-754 addition never turns it into
+/// `-0.0`, so a `±0` addend changes nothing; with a non-finite B both
+/// compute `0·NaN` and `0·∞` as `NaN`. Testing each element of A for zero
+/// cost more than the additions it saved on the post-ReLU operands
+/// training produces.
 fn blocked_rows(
     arows: &[f32],
     n_rows: usize,
@@ -1045,7 +1075,6 @@ fn blocked_rows(
     panels: &[f32],
     panel_w: usize,
     n: usize,
-    skip_zeros: bool,
     out: &mut [f32],
 ) {
     let mut j0 = 0;
@@ -1059,9 +1088,9 @@ fn blocked_rows(
             while jt < w {
                 let wj = NR.min(w - jt);
                 if ib == MR && wj == NR {
-                    micro_tile(arows, i0, k, pdata, w, jt, skip_zeros, out, n, j0);
+                    micro_tile(arows, i0, k, pdata, w, jt, out, n, j0);
                 } else {
-                    edge_tile(arows, i0, ib, k, pdata, w, jt, wj, skip_zeros, out, n, j0);
+                    edge_tile(arows, i0, ib, k, pdata, w, jt, wj, out, n, j0);
                 }
                 jt += wj;
             }
@@ -1082,7 +1111,6 @@ fn micro_tile(
     pdata: &[f32],
     w: usize,
     jt: usize,
-    skip_zeros: bool,
     out: &mut [f32],
     n: usize,
     j0: usize,
@@ -1092,9 +1120,6 @@ fn micro_tile(
         let brow = &pdata[p * w + jt..p * w + jt + NR];
         for (r, accr) in acc.iter_mut().enumerate() {
             let av = arows[(i0 + r) * k + p];
-            if skip_zeros && av == 0.0 {
-                continue;
-            }
             for (a, &bv) in accr.iter_mut().zip(brow.iter()) {
                 *a += av * bv;
             }
@@ -1119,7 +1144,6 @@ fn edge_tile(
     w: usize,
     jt: usize,
     wj: usize,
-    skip_zeros: bool,
     out: &mut [f32],
     n: usize,
     j0: usize,
@@ -1129,9 +1153,6 @@ fn edge_tile(
         let base = i * n + j0 + jt;
         for p in 0..k {
             let av = arows[i * k + p];
-            if skip_zeros && av == 0.0 {
-                continue;
-            }
             let brow = &pdata[p * w + jt..p * w + jt + wj];
             let orow = &mut out[base..base + wj];
             for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
@@ -1335,9 +1356,9 @@ mod tests {
 
     #[test]
     fn matmul_propagates_nan_and_inf_past_zero_rows() {
-        // 0 · NaN and 0 · ∞ are NaN; the zero-skip fast path must not
-        // convert them to 0 (regression: a diverging model's activations
-        // looked finite after multiplying by sparse inputs).
+        // 0 · NaN and 0 · ∞ are NaN; no kernel may convert them to 0
+        // (regression: a diverging model's activations looked finite after
+        // multiplying by sparse inputs).
         let a = m(2, 2, &[0.0, 1.0, 2.0, 0.0]);
         let b_nan = m(2, 2, &[f32::NAN, 5.0, 6.0, 7.0]);
         let c = a.matmul(&b_nan);
@@ -1369,42 +1390,6 @@ mod tests {
         let b_inf = m(2, 2, &[f32::INFINITY, 1.0, 2.0, 3.0]);
         let c = a.matmul_nt(&b_inf);
         assert!(c.get(0, 0).is_nan(), "0·∞ is NaN through matmul_nt");
-    }
-
-    #[test]
-    fn zero_skip_still_elides_work_for_finite_inputs() {
-        // With finite operands the fast path stays on and the elided work
-        // is counted so FLOP reports can show effective vs nominal.
-        let _g = metadpa_obs::test_lock();
-        let sink = std::sync::Arc::new(metadpa_obs::recorder::MemoryRecorder::default());
-        metadpa_obs::enable(sink);
-        let counter_value = |name: &str| {
-            metadpa_obs::metrics::snapshot()
-                .into_iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, snap)| match snap {
-                    metadpa_obs::metrics::MetricSnapshot::Counter(v) => v,
-                    other => panic!("expected counter, got {other:?}"),
-                })
-                .unwrap_or(0)
-        };
-        let skipped_before = counter_value("tensor.matmul.skipped_rows");
-        let flops_skipped_before = counter_value("tensor.matmul.flops_skipped");
-        let a = m(2, 2, &[0.0, 1.0, 2.0, 0.0]);
-        let b = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let c = a.matmul(&b);
-        assert_eq!(c, m(2, 3, &[4.0, 5.0, 6.0, 2.0, 4.0, 6.0]));
-        assert_eq!(
-            counter_value("tensor.matmul.skipped_rows") - skipped_before,
-            2,
-            "two zero entries in a elide two row additions"
-        );
-        assert_eq!(
-            counter_value("tensor.matmul.flops_skipped") - flops_skipped_before,
-            2 * 3 * 2,
-            "each skipped row elides 2·n flops"
-        );
-        metadpa_obs::disable();
     }
 
     #[test]

@@ -74,9 +74,13 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Whether the `a == 0.0` fast path may elide additions (see the identically
-/// named helper in `matrix.rs` for the finiteness argument).
-pub(crate) fn zero_skip_allowed(a: &Matrix, b: &Matrix) -> bool {
+/// Whether the `a == 0.0` fast path may elide additions. Only when `b` is
+/// finite: `0·NaN` and `0·∞` are `NaN` and must propagate. For finite `b`
+/// eliding is bitwise the same as computing, because the accumulator starts
+/// at `+0.0` and IEEE-754 addition never turns it into `-0.0`, so a `±0`
+/// addend changes nothing — which is why the production kernels, which
+/// compute every term, still match this oracle bit for bit.
+fn zero_skip_allowed(a: &Matrix, b: &Matrix) -> bool {
     a.as_slice().contains(&0.0) && b.all_finite()
 }
 

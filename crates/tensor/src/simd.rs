@@ -17,15 +17,15 @@
 //!   microkernel below performs, per output element, the *same* operation
 //!   sequence as [`crate::matrix`]'s scalar register tile: round the
 //!   product, then round the sum (`_mm256_mul_ps` + `_mm256_add_ps`, never
-//!   `fmadd`), over `p` in ascending order from `+0.0`, with the identical
-//!   zero-skip rule. Lanes are independent, so vectorising the `j` loop
-//!   cannot change a single bit — SIMD on/off and every `METADPA_THREADS`
-//!   setting all agree.
+//!   `fmadd`), over `p` in ascending order from `+0.0`, computing every
+//!   term as the scalar kernel does. Lanes are independent, so vectorising the `j` loop cannot change a
+//!   single bit — SIMD on/off and every `METADPA_THREADS` setting all
+//!   agree.
 //! * **The fused path is opt-in and self-consistent.** [`Policy::Fused`]
-//!   swaps in `_mm256_fmadd_ps` (one rounding per multiply-add) and
-//!   computes every term — no zero-skip branch, which on post-ReLU
-//!   activations (~half the left operand exactly `0.0`) would cost a
-//!   mispredicted branch per element and erase the SIMD win. Each output
+//!   swaps in `_mm256_fmadd_ps` (one rounding per multiply-add). Like the
+//!   exact path it has no zero-skip branch: on post-ReLU activations
+//!   (~half the left operand exactly `0.0`) such a branch mispredicts per
+//!   element and erases the SIMD win. Each output
 //!   element is still one ascending-`p` chain of fused multiply-adds, so
 //!   fused results are bit-identical at any thread count and any tiling;
 //!   they only differ from the exact path by the documented epsilon
@@ -146,6 +146,13 @@ pub fn feature_string() -> &'static str {
     } else {
         "scalar"
     }
+}
+
+/// Whether matmul dispatch on this thread would pick the FMA-fused
+/// kernels: [`Policy::Fused`] on an AVX2+FMA host. Bumps no counter, so
+/// the narrow-kernel dispatch can ask before committing to a path.
+pub(crate) fn fused_selected() -> bool {
+    current_policy() == Policy::Fused && available()
 }
 
 /// The kernel family one matmul call will run, resolved on the
@@ -283,16 +290,15 @@ pub(crate) fn blocked_rows_simd(
     k: usize,
     tiles: &[Tile],
     n: usize,
-    skip_zeros: bool,
     fused: bool,
     out: &mut [f32],
 ) {
     assert!(available(), "SIMD kernels dispatched on a non-AVX2 host");
     #[cfg(target_arch = "x86_64")]
-    x86::driver(arows, n_rows, k, tiles, n, skip_zeros, fused, out);
+    x86::driver(arows, n_rows, k, tiles, n, fused, out);
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (arows, n_rows, k, tiles, n, skip_zeros, fused, out);
+        let _ = (arows, n_rows, k, tiles, n, fused, out);
         unreachable!("available() is false off x86_64");
     }
 }
@@ -316,7 +322,6 @@ mod x86 {
         k: usize,
         tiles: &[Tile],
         n: usize,
-        skip_zeros: bool,
         fused: bool,
         out: &mut [f32],
     ) {
@@ -334,7 +339,7 @@ mod x86 {
                 // SAFETY: AVX2+FMA presence was checked by the caller
                 // (`blocked_rows_simd`); in-bounds access is the
                 // debug-asserted invariant above plus `ib`/`wj` clamping.
-                unsafe { strip(arows, i0, ib, k, tile, out, n, ocol, wj, skip_zeros, fused) }
+                unsafe { strip(arows, i0, ib, k, tile, out, n, ocol, wj, fused) }
             }
             i0 += ib;
         }
@@ -354,15 +359,14 @@ mod x86 {
         n: usize,
         ocol: usize,
         wj: usize,
-        skip_zeros: bool,
         fused: bool,
     ) {
         macro_rules! call {
             ($ib:literal) => {
                 if fused {
-                    tile_k::<$ib, true>(arows, i0, k, tile, out, n, ocol, wj, skip_zeros)
+                    tile_k::<$ib, true>(arows, i0, k, tile, out, n, ocol, wj)
                 } else {
-                    tile_k::<$ib, false>(arows, i0, k, tile, out, n, ocol, wj, skip_zeros)
+                    tile_k::<$ib, false>(arows, i0, k, tile, out, n, ocol, wj)
                 }
             };
         }
@@ -379,9 +383,8 @@ mod x86 {
 
     /// One register tile: `IB` output rows x 16 lanes, accumulated over
     /// the full `k` range in ascending order. `FUSED` selects one
-    /// rounding per multiply-add (`fmadd`, no zero-skip) vs the exact
-    /// mul-round/add-round sequence with the scalar kernel's zero-skip;
-    /// const so each instantiation compiles branch-free.
+    /// rounding per multiply-add (`fmadd`) vs the exact mul-round/add-round
+    /// sequence; const so each instantiation compiles branch-free.
     #[target_feature(enable = "avx2,fma")]
     // The r-indexed loop reads A and writes acc in lockstep; the index
     // form keeps the measured codegen (12 live ymm accumulators) intact.
@@ -395,7 +398,6 @@ mod x86 {
         n: usize,
         ocol: usize,
         wj: usize,
-        skip_zeros: bool,
     ) {
         debug_assert!(tile.len() >= k, "tile rows out of bounds");
         debug_assert!(k == 0 || (i0 + IB) * k <= arows.len(), "A rows out of bounds");
@@ -411,11 +413,7 @@ mod x86 {
             let b0 = _mm256_load_ps(bp.add(q * TILE_W));
             let b1 = _mm256_load_ps(bp.add(q * TILE_W + 8));
             for r in 0..IB {
-                let av = *ap.add((i0 + r) * k + q);
-                if !FUSED && skip_zeros && av == 0.0 {
-                    continue;
-                }
-                let a = _mm256_set1_ps(av);
+                let a = _mm256_set1_ps(*ap.add((i0 + r) * k + q));
                 if FUSED {
                     acc[r][0] = _mm256_fmadd_ps(a, b0, acc[r][0]);
                     acc[r][1] = _mm256_fmadd_ps(a, b1, acc[r][1]);

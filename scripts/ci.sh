@@ -12,6 +12,20 @@ echo "== end-to-end benchmark build =="
 # nn or tensor API change that breaks the benchmark fails CI.
 cargo build --release --offline --manifest-path e2ebench/Cargo.toml
 
+echo "== end-to-end benchmark smoke (fit-books, 1 s of traffic) =="
+# One short fit-books run: generate, fit, evaluate, export, save/load the
+# checkpoint and serve it. The benchmark checks that a refit reproduces
+# the fitted parameters and that served lists match the in-process pass;
+# its last line reports the verdict, which must be correct with no failed
+# operation.
+e2e_last=$(cargo run --release --quiet --offline --manifest-path e2ebench/Cargo.toml -- \
+  --workload fit-books --seed 1 --seconds 1 --trace 0 | tail -n 1)
+echo "$e2e_last"
+case "$e2e_last" in
+  *'"correct":true'*'"failed":0'*) ;;
+  *) echo "e2ebench fit-books smoke failed" >&2; exit 1 ;;
+esac
+
 echo "== cargo test (default threads) =="
 cargo test --workspace -q
 
