@@ -22,7 +22,7 @@ use metadpa_data::task::Task;
 use metadpa_nn::activation::Softmax;
 use metadpa_nn::dense::Dense;
 use metadpa_nn::loss::mse;
-use metadpa_nn::module::{restore, snapshot, zero_grad, Mode, Module};
+use metadpa_nn::module::{restore, snapshot, zero_grad, Mode, Module, Params};
 use metadpa_nn::optim::{Adam, Optimizer};
 use metadpa_nn::param::Param;
 use metadpa_tensor::{Matrix, SeededRng};
@@ -97,6 +97,15 @@ impl CatnNet {
     }
 }
 
+impl Params for CatnNet {
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        self.user_extractor.visit_params(visitor);
+        self.item_extractor.visit_params(visitor);
+        visitor(&mut self.matching);
+        visitor(&mut self.bias);
+    }
+}
+
 impl Module for CatnNet {
     fn forward(&mut self, input: &Matrix, mode: Mode) -> Matrix {
         let (cu, ci) = input.hsplit(self.content_dim);
@@ -154,13 +163,6 @@ impl Module for CatnNet {
         let d_cu = self.user_extractor.backward(&d_au_logits);
         let d_ci = self.item_extractor.backward(&d_ai_logits);
         d_cu.hstack(&d_ci)
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        self.user_extractor.visit_params(visitor);
-        self.item_extractor.visit_params(visitor);
-        visitor(&mut self.matching);
-        visitor(&mut self.bias);
     }
 }
 

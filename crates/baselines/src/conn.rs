@@ -21,7 +21,7 @@ use metadpa_data::domain::{Domain, World};
 use metadpa_data::splits::Scenario;
 use metadpa_data::task::Task;
 use metadpa_nn::mlp::{Activation, Mlp};
-use metadpa_nn::module::{restore, snapshot, Mode, Module};
+use metadpa_nn::module::{restore, snapshot, Mode, Module, Params};
 use metadpa_nn::param::Param;
 use metadpa_tensor::{Matrix, SeededRng};
 
@@ -79,6 +79,14 @@ impl ConnNet {
     }
 }
 
+impl Params for ConnNet {
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        self.user_tower.visit_params(visitor);
+        self.item_tower.visit_params(visitor);
+        self.shared.visit_params(visitor);
+    }
+}
+
 impl Module for ConnNet {
     fn forward(&mut self, input: &Matrix, mode: Mode) -> Matrix {
         let (cu, ci) = input.hsplit(self.content_dim);
@@ -93,12 +101,6 @@ impl Module for ConnNet {
         let dcu = self.user_tower.backward(&deu);
         let dci = self.item_tower.backward(&dei);
         dcu.hstack(&dci)
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        self.user_tower.visit_params(visitor);
-        self.item_tower.visit_params(visitor);
-        self.shared.visit_params(visitor);
     }
 }
 

@@ -23,7 +23,7 @@ use metadpa_data::splits::Scenario;
 use metadpa_data::task::Task;
 use metadpa_nn::dense::Dense;
 use metadpa_nn::mlp::{Activation, Mlp};
-use metadpa_nn::module::{restore, snapshot, Mode, Module};
+use metadpa_nn::module::{restore, snapshot, Mode, Module, Params};
 use metadpa_nn::param::Param;
 use metadpa_tensor::{Matrix, SeededRng};
 
@@ -128,6 +128,18 @@ struct DamlCache {
     i_att: Matrix,
 }
 
+impl Params for DamlNet {
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        self.user_tower.visit_params(visitor);
+        self.item_tower.visit_params(visitor);
+        self.local_u.dense.visit_params(visitor);
+        self.local_i.dense.visit_params(visitor);
+        self.mutual_u.dense.visit_params(visitor);
+        self.mutual_i.dense.visit_params(visitor);
+        self.scorer.visit_params(visitor);
+    }
+}
+
 impl Module for DamlNet {
     fn forward(&mut self, input: &Matrix, mode: Mode) -> Matrix {
         let (cu, ci) = input.hsplit(self.content_dim);
@@ -167,16 +179,6 @@ impl Module for DamlNet {
         let d_cu = self.user_tower.backward(&d_eu);
         let d_ci = self.item_tower.backward(&d_ei);
         d_cu.hstack(&d_ci)
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        self.user_tower.visit_params(visitor);
-        self.item_tower.visit_params(visitor);
-        self.local_u.dense.visit_params(visitor);
-        self.local_i.dense.visit_params(visitor);
-        self.mutual_u.dense.visit_params(visitor);
-        self.mutual_i.dense.visit_params(visitor);
-        self.scorer.visit_params(visitor);
     }
 }
 

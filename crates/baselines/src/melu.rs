@@ -19,7 +19,7 @@ use metadpa_data::splits::Scenario;
 use metadpa_data::task::Task;
 use metadpa_nn::loss::bce_with_logits;
 use metadpa_nn::module::{
-    accumulate_grads, restore, snapshot, snapshot_grads, zero_grad, Mode, Module,
+    accumulate_grads, restore, snapshot, snapshot_grads, zero_grad, Mode, Module, Params,
 };
 use metadpa_nn::optim::{Adam, Optimizer};
 use metadpa_tensor::{Matrix, SeededRng};

@@ -15,7 +15,7 @@ use metadpa_data::splits::Scenario;
 use metadpa_data::task::Task;
 use metadpa_nn::loss::bce_with_logits;
 use metadpa_nn::mlp::{Activation, Mlp};
-use metadpa_nn::module::{Mode, Module};
+use metadpa_nn::module::{Mode, Module, Params};
 use metadpa_nn::optim::{Adam, Sgd};
 use metadpa_nn::Embedding;
 use metadpa_tensor::{Matrix, SeededRng};

@@ -26,7 +26,7 @@ use metadpa_data::splits::Scenario;
 use metadpa_data::task::Task;
 use metadpa_nn::loss::mse;
 use metadpa_nn::mlp::{Activation, Mlp};
-use metadpa_nn::module::{restore, snapshot, zero_grad, Mode, Module};
+use metadpa_nn::module::{restore, snapshot, zero_grad, Mode, Module, Params};
 use metadpa_nn::optim::{Adam, Optimizer};
 use metadpa_nn::param::Param;
 use metadpa_tensor::{Matrix, SeededRng};
@@ -91,6 +91,14 @@ impl TdarNet {
     }
 }
 
+impl Params for TdarNet {
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        self.user_tower.visit_params(visitor);
+        self.item_tower.visit_params(visitor);
+        self.scorer.visit_params(visitor);
+    }
+}
+
 impl Module for TdarNet {
     fn forward(&mut self, input: &Matrix, mode: Mode) -> Matrix {
         let (cu, ci) = input.hsplit(self.content_dim);
@@ -105,12 +113,6 @@ impl Module for TdarNet {
         let dcu = self.user_tower.backward(&deu);
         let dci = self.item_tower.backward(&dei);
         dcu.hstack(&dci)
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        self.user_tower.visit_params(visitor);
-        self.item_tower.visit_params(visitor);
-        self.scorer.visit_params(visitor);
     }
 }
 

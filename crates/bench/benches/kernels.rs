@@ -16,10 +16,15 @@
 //!    Enforced only on hosts where [`metadpa_tensor::simd::available`]
 //!    reports AVX2+FMA; elsewhere a warning (same policy as the core
 //!    rule).
-//! 3. **f32 serving** — fused-FMA catalogue ranking (the f32-precision
-//!    serving path, `simd::Policy::Fused`) beats the forced-scalar path
-//!    by at least `--min-fused-speedup` (default 3.0×). Enforced on AVX2
-//!    hosts only, like the SIMD floor.
+//! 3. **Fused serving** — fused-FMA catalogue ranking (the
+//!    `--ranking fused` serving path, `simd::Policy::Fused`; BENCH row
+//!    `kernels/serve_rank/f32`) beats the forced-scalar path by at least
+//!    `--min-fused-speedup` (default 3.0×). Enforced on AVX2 hosts only,
+//!    like the SIMD floor.
+//!
+//! The SIMD and fused ratios compare each side's fastest iteration: load
+//! from neighbouring processes only ever adds time, so the minimum is the
+//! best estimate of what the kernel itself costs on a shared host.
 //! 4. **Allocations** — one training epoch driven through the `_into` +
 //!    workspace API allocates at least `--min-alloc-ratio` (default 5×)
 //!    fewer times than the same epoch through the allocating API,
@@ -37,7 +42,7 @@ use std::sync::Arc;
 use metadpa_bench::microbench::{self, BenchResult};
 use metadpa_core::{PreferenceConfig, PreferenceModel};
 use metadpa_nn::loss::{bce_with_logits, bce_with_logits_into};
-use metadpa_nn::module::{zero_grad, Mode, Module};
+use metadpa_nn::module::{zero_grad, Mode, Module, Params};
 use metadpa_nn::optim::Sgd;
 use metadpa_tensor::{reference, simd, Matrix, SeededRng};
 
@@ -140,7 +145,7 @@ fn bench_simd(n: usize, iters: u64) -> (BenchResult, BenchResult, f64) {
             drop(std::hint::black_box(a.matmul(&b)));
         });
     });
-    let speedup = scalar.p50_ns as f64 / vectored.p50_ns.max(1) as f64;
+    let speedup = scalar.min_ns as f64 / vectored.min_ns.max(1) as f64;
     (scalar, vectored, speedup)
 }
 
@@ -148,7 +153,7 @@ fn bench_simd(n: usize, iters: u64) -> (BenchResult, BenchResult, f64) {
 /// pass through a serving-sized preference model. The scalar row is the
 /// scalar-kernel serving path — a full `score_items_into` pass, embedding
 /// the catalogue and scoring it per request. The f32 row is the
-/// f32-precision artifact path exactly as `ArtifactRecommender` runs it:
+/// fused-ranking artifact path exactly as `ArtifactRecommender` runs it:
 /// item embeddings precomputed once at artifact load (outside the timed
 /// loop), per-request scoring through the fused-FMA kernels via
 /// `score_embedded_into`. All widths are multiples of the register tile
@@ -183,7 +188,7 @@ fn bench_serve_rank(iters: u64) -> (BenchResult, BenchResult, f64) {
             std::hint::black_box(&scores);
         });
     });
-    let speedup = scalar.p50_ns as f64 / fused.p50_ns.max(1) as f64;
+    let speedup = scalar.min_ns as f64 / fused.min_ns.max(1) as f64;
     (scalar, fused, speedup)
 }
 
@@ -287,9 +292,10 @@ fn main() {
     // where the AVX2 kernels can actually run; elsewhere the rows still
     // record (scalar vs scalar ≈ 1.0×) but are warn-only.
     let simd_sweep: &[usize] = if args.smoke { &[256] } else { &[256, 512] };
+    let floor_iters = if args.smoke { 5 } else { 8 };
     let mut simd_failures = Vec::new();
     for &n in simd_sweep {
-        let (scalar, vectored, speedup) = bench_simd(n, iters);
+        let (scalar, vectored, speedup) = bench_simd(n, floor_iters);
         println!("  matmul/{n}: simd {speedup:.2}x vs scalar blocked ({})", simd::feature_string());
         if speedup < args.min_simd_speedup {
             simd_failures.push(format!(
@@ -300,9 +306,9 @@ fn main() {
         results.push(scalar);
         results.push(vectored);
     }
-    let serve_iters = if args.smoke { 3 } else { 12 };
+    let serve_iters = if args.smoke { 5 } else { 12 };
     let (serve_scalar, serve_fused, serve_speedup) = bench_serve_rank(serve_iters);
-    println!("  serve_rank: f32 fused {serve_speedup:.2}x vs scalar ({})", simd::feature_string());
+    println!("  serve_rank: fused {serve_speedup:.2}x vs scalar ({})", simd::feature_string());
     if serve_speedup < args.min_fused_speedup {
         simd_failures.push(format!(
             "serve_rank: {serve_speedup:.2}x < required {:.2}x",

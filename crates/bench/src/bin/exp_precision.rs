@@ -1,15 +1,14 @@
-//! f32-vs-f64 serving precision: ranking-quality deltas per scenario.
+//! Exact vs fused serving ranking: ranking-quality deltas per scenario.
 //!
-//! Trains one MetaDPA pipeline, exports the same θ twice — once as the
-//! default (f64-encoded, exact-kernel) artifact and once with
-//! `--precision f32` (narrow encoding, fused-FMA serving kernels) — then
-//! replays every evaluation instance of all four scenarios through both
-//! recommenders and reports HR@10 / NDCG@10 side by side, plus the
-//! largest per-item score divergence observed anywhere in the sweep.
+//! Trains one MetaDPA pipeline, exports one artifact, and rebuilds two
+//! recommenders from it — one with the default exact ranking and one with
+//! `--ranking fused` (fused-FMA serving kernels) — then replays every
+//! evaluation instance of all four scenarios through both recommenders
+//! and reports HR@10 / NDCG@10 side by side, plus the largest per-item
+//! score divergence observed anywhere in the sweep.
 //!
-//! Both recommenders serve at θ (no per-request adaptation): adapted
-//! requests always take the exact full-pass path regardless of artifact
-//! precision, so θ-scoring is exactly the surface the f32 path changes.
+//! Both recommenders serve at θ (no per-request adaptation), which is
+//! exactly the surface fused ranking changes.
 //! The numbers this prints back the DESIGN.md §14 claim that the fused
 //! kernels' one-rounding-per-mul-add drift is metric-invisible, and are
 //! recorded in EXPERIMENTS.md.
@@ -17,20 +16,12 @@
 use metadpa_bench::args::ExpArgs;
 use metadpa_bench::harness::{build_scenarios, world_by_name};
 use metadpa_bench::table::TextTable;
-use metadpa_core::artifact::{ArtifactRecommender, Precision};
+use metadpa_core::artifact::{ArtifactRecommender, Ranking};
 use metadpa_core::{MetaDpa, MetaDpaConfig};
 use metadpa_data::splits::Scenario;
 use metadpa_metrics::MetricSummary;
-use metadpa_serve::{load_artifact, save_artifact};
 
 const K: usize = 10;
-
-fn temp_path(tag: &str) -> String {
-    std::env::temp_dir()
-        .join(format!("metadpa_exp_precision_{tag}_{}.ckpt", std::process::id()))
-        .to_string_lossy()
-        .to_string()
-}
 
 /// Scores one scenario's eval instances at θ; also tracks the largest
 /// absolute per-candidate score difference against `reference_scores`
@@ -68,7 +59,7 @@ fn main() {
     let args = ExpArgs::from_env();
     let _obs = metadpa_bench::obs_init("exp_precision", &args);
     println!(
-        "== f32 serving precision: quality deltas (seed {}, fast={}) ==",
+        "== exact vs fused serving ranking: quality deltas (seed {}, fast={}) ==",
         args.seed, args.fast
     );
 
@@ -83,26 +74,17 @@ fn main() {
     }
     let mut artifact = model.export_artifact(&world);
 
-    let f64_path = temp_path("f64");
-    let f32_path = temp_path("f32");
-    artifact.meta.precision = Precision::F64;
-    save_artifact(&f64_path, &artifact).expect("save f64 artifact");
-    artifact.meta.precision = Precision::F32;
-    save_artifact(&f32_path, &artifact).expect("save f32 artifact");
-    let mut exact =
-        load_artifact(&f64_path).expect("load f64").into_recommender().expect("f64 recommender");
-    let mut fused =
-        load_artifact(&f32_path).expect("load f32").into_recommender().expect("f32 recommender");
-    let _ = std::fs::remove_file(&f64_path);
-    let _ = std::fs::remove_file(&f32_path);
+    let mut exact = artifact.clone().into_recommender().expect("exact recommender");
+    artifact.meta.ranking = Ranking::Fused;
+    let mut fused = artifact.into_recommender().expect("fused recommender");
 
     let mut table = TextTable::new(&[
         "Scenario",
-        "HR@10 f64",
-        "HR@10 f32",
+        "HR@10 exact",
+        "HR@10 fused",
         "dHR",
-        "NDCG@10 f64",
-        "NDCG@10 f32",
+        "NDCG@10 exact",
+        "NDCG@10 fused",
         "dNDCG",
     ]);
     let mut max_abs_delta = 0.0f32;
@@ -123,7 +105,7 @@ fn main() {
     }
     println!("\n{}", table.render());
     println!(
-        "max |score(f32) - score(f64)| over all candidates: {max_abs_delta:.3e}\n\
+        "max |score(fused) - score(exact)| over all candidates: {max_abs_delta:.3e}\n\
          Shape to check: every delta row is ~0 (the fused drift is orders of\n\
          magnitude below the score gaps that decide ranks); the max score\n\
          divergence stays within the DESIGN.md §14 epsilon."

@@ -6,7 +6,7 @@
 //! parameters as a named-tensor table, the target domain's content
 //! matrices, and enough metadata ([`ArtifactMeta`]) to rebuild the exact
 //! model and to refuse mismatched data at load time. `metadpa-serve`
-//! persists it in the `metadpa-ckpt/v1` on-disk format; this module is the
+//! persists it in the `metadpa-ckpt/v2` on-disk format; this module is the
 //! in-memory contract shared by exporter, checkpoint codec and server.
 //!
 //! [`Artifact::into_recommender`] rebuilds a forward-only scorer,
@@ -29,31 +29,38 @@ use crate::preference::PreferenceConfig;
 /// Schema identifier embedded in every exported artifact.
 pub const ARTIFACT_SCHEMA: &str = "metadpa-artifact/v1";
 
-/// Numeric serving precision an artifact was exported with.
+/// How an artifact ranks the catalogue at serve time.
 ///
-/// The model's in-memory parameters are f32 either way; the variants
-/// select the on-disk tensor encoding (f64-LE vs f32-LE, see the serve
-/// crate's checkpoint codec) and the serve-time kernel family. [`Precision::F64`]
-/// is the default and scores bit-identically to the training pipeline;
-/// [`Precision::F32`] opts the whole catalogue-ranking path into the
-/// fused-FMA kernels, trading the bit-identity guarantee for throughput
-/// within the documented epsilon (DESIGN §14).
+/// The checkpoint stores the same f32 tensors either way.
+/// [`Ranking::Exact`] is the default and scores bit-identically to the
+/// training pipeline; [`Ranking::Fused`] runs the whole catalogue-ranking
+/// path under the fused-FMA kernels, trading the bit-identity guarantee
+/// for throughput within the documented epsilon (DESIGN §14).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Precision {
-    /// Default: f64-LE tensor encoding, exact kernels at serve time.
+pub enum Ranking {
+    /// Default: exact kernels, bit-identical to the training pipeline.
     #[default]
-    F64,
-    /// Opt-in: f32-LE tensor encoding, fused-FMA kernels at serve time.
-    F32,
+    Exact,
+    /// Opt-in: fused-FMA kernels ([`simd::Policy::Fused`]).
+    Fused,
 }
 
-impl Precision {
-    /// Stable lowercase name (`"f64"` / `"f32"`), used by the checkpoint
-    /// metadata and the serving `/health` document.
+impl Ranking {
+    /// Stable lowercase name (`"exact"` / `"fused"`), used by the
+    /// checkpoint metadata and the serving `/health` document.
     pub fn as_str(self) -> &'static str {
         match self {
-            Precision::F64 => "f64",
-            Precision::F32 => "f32",
+            Ranking::Exact => "exact",
+            Ranking::Fused => "fused",
+        }
+    }
+
+    /// The kernel policy ranking runs under: [`simd::Policy::Fused`], or
+    /// the caller's own policy for exact ranking.
+    fn policy(self) -> simd::Policy {
+        match self {
+            Ranking::Exact => simd::current_policy(),
+            Ranking::Fused => simd::Policy::Fused,
         }
     }
 }
@@ -141,10 +148,9 @@ pub struct ArtifactMeta {
     /// checkpoint to its training trace, BENCH documents and the serving
     /// `/health` document.
     pub run_id: String,
-    /// Serving precision ([`Precision::F64`] unless the artifact was
-    /// exported with `--precision f32`); artifacts written before the
-    /// field existed load as [`Precision::F64`].
-    pub precision: Precision,
+    /// Catalogue-ranking kernels ([`Ranking::Exact`] unless the artifact
+    /// was exported with `--ranking fused`).
+    pub ranking: Ranking,
 }
 
 /// A self-contained exported model: metadata, named parameter tensors and
@@ -290,12 +296,8 @@ impl Artifact {
         // policy scoring will use, so every serve instance of this
         // artifact holds the identical table: per-row accumulation makes
         // it equal (bitwise) to inline embedding for the θ path.
-        let fused = meta.precision == Precision::F32;
-        let item_embeds = if fused {
-            simd::with_policy(simd::Policy::Fused, || learner.embed_items(&item_content))
-        } else {
-            learner.embed_items(&item_content)
-        };
+        let item_embeds =
+            simd::with_policy(meta.ranking.policy(), || learner.embed_items(&item_content));
         Ok(ArtifactRecommender {
             meta,
             learner,
@@ -303,7 +305,6 @@ impl Artifact {
             user_content,
             item_content,
             item_embeds,
-            fused,
             catalogue,
             scores: Vec::new(),
         })
@@ -328,9 +329,6 @@ pub struct ArtifactRecommender {
     /// embedding matmul. Valid only at θ — adapted-parameter requests run
     /// the full pass over `item_content` instead.
     item_embeds: Matrix,
-    /// Whether ranking runs under the fused-FMA kernel policy
-    /// (`meta.precision == Precision::F32`).
-    fused: bool,
     /// `0..n_items`, built once at reload: every ranking request scores
     /// the whole catalogue, so the index list never changes.
     catalogue: Vec<usize>,
@@ -466,12 +464,12 @@ impl ArtifactRecommender {
         // Destructure so the user-content row can be borrowed alongside
         // the learner and score buffer (no `.to_vec()` of the row).
         let Self {
+            meta,
             learner,
             theta,
             user_content,
             item_content,
             item_embeds,
-            fused,
             catalogue,
             scores,
             ..
@@ -486,7 +484,7 @@ impl ArtifactRecommender {
             user_content.row(user),
             k,
             params,
-            *fused,
+            meta.ranking,
         )
     }
 
@@ -499,7 +497,7 @@ impl ArtifactRecommender {
         params: Option<&[Matrix]>,
     ) -> Result<Vec<(usize, f32)>, ArtifactError> {
         self.check_content(content)?;
-        let Self { learner, theta, item_content, item_embeds, fused, catalogue, scores, .. } = self;
+        let Self { meta, learner, theta, item_content, item_embeds, catalogue, scores, .. } = self;
         rank_catalogue(
             learner,
             theta,
@@ -510,7 +508,7 @@ impl ArtifactRecommender {
             content,
             k,
             params,
-            *fused,
+            meta.ranking,
         )
     }
 
@@ -580,23 +578,10 @@ fn rank_catalogue(
     content: &[f32],
     k: usize,
     params: Option<&[Matrix]>,
-    fused: bool,
+    ranking: Ranking,
 ) -> Result<Vec<(usize, f32)>, ArtifactError> {
     let _sp = metadpa_obs::span!("rank.catalogue");
-    if fused {
-        simd::with_policy(simd::Policy::Fused, || {
-            score_catalogue(
-                learner,
-                theta,
-                item_content,
-                item_embeds,
-                catalogue,
-                scores,
-                content,
-                params,
-            );
-        });
-    } else {
+    simd::with_policy(ranking.policy(), || {
         score_catalogue(
             learner,
             theta,
@@ -607,7 +592,7 @@ fn rank_catalogue(
             content,
             params,
         );
-    }
+    });
     if let Some(item) = scores.iter().position(|s| !s.is_finite()) {
         return Err(ArtifactError::NonFiniteScores { item });
     }
@@ -673,7 +658,7 @@ pub fn artifact_from_learner(
             diversity,
             score_fingerprint,
             run_id,
-            precision: Precision::F64,
+            ranking: Ranking::Exact,
         },
         params: named_snapshot(learner.model_mut(), PARAM_PREFIX),
         user_content,

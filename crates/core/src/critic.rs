@@ -14,7 +14,7 @@
 
 use metadpa_nn::dense::Dense;
 use metadpa_nn::infonce::InfoNce;
-use metadpa_nn::module::{Mode, Module};
+use metadpa_nn::module::{Mode, Module, Params};
 use metadpa_nn::param::Param;
 use metadpa_tensor::{Matrix, SeededRng};
 
@@ -79,23 +79,7 @@ impl CriticInfoNce {
     }
 }
 
-impl Module for CriticInfoNce {
-    fn forward(&mut self, _input: &Matrix, _mode: Mode) -> Matrix {
-        panic!(
-            "CriticInfoNce::forward is intentionally not implemented: the critic consumes \
-             paired batches — call CriticInfoNce::forward_backward (or loss for monitoring); \
-             the Module impl exists only so optimizers can walk the parameters"
-        )
-    }
-
-    fn backward(&mut self, _grad_output: &Matrix) -> Matrix {
-        panic!(
-            "CriticInfoNce::backward is intentionally not implemented: gradients flow inside \
-             CriticInfoNce::forward_backward; the Module impl exists only so optimizers can \
-             walk the parameters"
-        )
-    }
-
+impl Params for CriticInfoNce {
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         self.head_a.visit_params(visitor);
         self.head_b.visit_params(visitor);
@@ -167,21 +151,5 @@ mod tests {
         let a = rng.normal_matrix(3, 4);
         let b = rng.normal_matrix(4, 4);
         let _ = critic.forward_backward(&a, &b, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "call CriticInfoNce::forward_backward")]
-    fn module_forward_names_the_real_entry_point() {
-        let mut rng = SeededRng::new(5);
-        let mut critic = CriticInfoNce::new(4, 4, 2, 0.5, &mut rng);
-        let _ = critic.forward(&Matrix::zeros(1, 4), Mode::Eval);
-    }
-
-    #[test]
-    #[should_panic(expected = "gradients flow inside CriticInfoNce::forward_backward")]
-    fn module_backward_names_the_real_entry_point() {
-        let mut rng = SeededRng::new(5);
-        let mut critic = CriticInfoNce::new(4, 4, 2, 0.5, &mut rng);
-        let _ = critic.backward(&Matrix::zeros(1, 4));
     }
 }

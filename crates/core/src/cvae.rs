@@ -25,7 +25,7 @@
 
 use metadpa_nn::activation::sigmoid;
 use metadpa_nn::mlp::{Activation, Mlp};
-use metadpa_nn::module::{Mode, Module};
+use metadpa_nn::module::{Mode, Module, Params};
 use metadpa_nn::param::Param;
 use metadpa_tensor::{Matrix, SeededRng};
 
@@ -220,25 +220,7 @@ impl Cvae {
     }
 }
 
-impl Module for Cvae {
-    /// Full-pass forward used only for generic parameter plumbing
-    /// (optimizers, snapshots): runs the deterministic autoencoding path
-    /// `decode(μ(r, x), x)` on an `[r ; x]` input.
-    fn forward(&mut self, input: &Matrix, mode: Mode) -> Matrix {
-        let (r, x) = input.hsplit(self.config.n_items);
-        let enc_out = self.encoder.forward(&r.hstack(&x), mode);
-        let (mu, _) = enc_out.hsplit(self.config.latent_dim);
-        self.decode(&mu, &x, mode)
-    }
-
-    fn backward(&mut self, _grad_output: &Matrix) -> Matrix {
-        panic!(
-            "Cvae::backward is intentionally not implemented: the CVAE trains through the \
-             explicit backward_decoder/backward_encoder path driven by DualCvae::train_step; \
-             Module::backward exists only so optimizers can walk the parameters"
-        )
-    }
-
+impl Params for Cvae {
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         self.encoder.visit_params(visitor);
         self.content_encoder.visit_params(visitor);
@@ -430,13 +412,5 @@ mod tests {
         let mut cvae = Cvae::new(config(), &mut rng);
         let z = Matrix::zeros(1, 4);
         cvae.backward_encoder(&z, &z, &z);
-    }
-
-    #[test]
-    #[should_panic(expected = "driven by DualCvae::train_step")]
-    fn module_backward_names_the_real_entry_point() {
-        let mut rng = SeededRng::new(7);
-        let mut cvae = Cvae::new(config(), &mut rng);
-        let _ = cvae.backward(&Matrix::zeros(1, 20));
     }
 }

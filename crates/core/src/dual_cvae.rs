@@ -25,7 +25,7 @@
 use metadpa_nn::infonce::InfoNce;
 use metadpa_nn::kl::gaussian_kl_to_anchor;
 use metadpa_nn::loss::{bce_with_logits, mse};
-use metadpa_nn::module::{Mode, Module};
+use metadpa_nn::module::{Mode, Params};
 use metadpa_nn::param::Param;
 use metadpa_tensor::{Matrix, SeededRng};
 
@@ -330,23 +330,7 @@ impl DualCvae {
     }
 }
 
-impl Module for DualCvae {
-    fn forward(&mut self, _input: &Matrix, _mode: Mode) -> Matrix {
-        panic!(
-            "DualCvae::forward is intentionally not implemented: call DualCvae::train_step \
-             (training) or generate_target_ratings (augmentation); the Module impl exists \
-             only so optimizers can walk the parameters"
-        )
-    }
-
-    fn backward(&mut self, _grad_output: &Matrix) -> Matrix {
-        panic!(
-            "DualCvae::backward is intentionally not implemented: gradients flow inside \
-             DualCvae::train_step; the Module impl exists only so optimizers can walk the \
-             parameters"
-        )
-    }
-
+impl Params for DualCvae {
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         self.source.visit_params(visitor);
         self.target.visit_params(visitor);
@@ -488,21 +472,5 @@ mod tests {
         assert_eq!(m.reconstruction, 2.0);
         assert_eq!(m.kl, 1.0);
         assert_eq!(DualCvaeLosses::mean(&[]).reconstruction, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "call DualCvae::train_step")]
-    fn module_forward_names_the_real_entry_point() {
-        let mut rng = SeededRng::new(7);
-        let mut dual = DualCvae::new(15, 12, 6, small_config(), &mut rng);
-        let _ = dual.forward(&Matrix::zeros(1, 15), Mode::Eval);
-    }
-
-    #[test]
-    #[should_panic(expected = "gradients flow inside DualCvae::train_step")]
-    fn module_backward_names_the_real_entry_point() {
-        let mut rng = SeededRng::new(7);
-        let mut dual = DualCvae::new(15, 12, 6, small_config(), &mut rng);
-        let _ = dual.backward(&Matrix::zeros(1, 12));
     }
 }

@@ -18,7 +18,7 @@
 use metadpa_data::task::Task;
 use metadpa_nn::loss::bce_with_logits_into;
 use metadpa_nn::module::{
-    accumulate_grads, restore, snapshot_grads, snapshot_into, zero_grad, Mode, Module,
+    accumulate_grads, restore, snapshot_grads, snapshot_into, zero_grad, Mode, Module, Params,
 };
 use metadpa_nn::optim::{Adam, Optimizer, Sgd};
 use metadpa_tensor::pool::Team;

@@ -12,7 +12,7 @@
 
 use metadpa_nn::dense::Dense;
 use metadpa_nn::mlp::{Activation, Mlp};
-use metadpa_nn::module::{Mode, Module};
+use metadpa_nn::module::{Mode, Module, Params};
 use metadpa_nn::param::Param;
 use metadpa_nn::workspace::Workspace;
 use metadpa_tensor::{Matrix, SeededRng};
@@ -165,13 +165,20 @@ impl PreferenceModel {
     }
 
     /// Scores one user against candidate items from a precomputed item
-    /// embedding table (see [`PreferenceModel::embed_items`]) —
-    /// bit-identical to [`PreferenceModel::score_items_into`] for the same
-    /// parameters, but skipping the per-request item embedding matmul and
-    /// the tiled `[c_u ; c_i]` assembly. The user side is embedded as a
-    /// single row (per-row accumulation makes that equal to embedding the
-    /// tiled batch), then the scorer runs over `[x_u ; x_i]` rows built
-    /// straight from the table. Zero steady-state allocations.
+    /// embedding table (see [`PreferenceModel::embed_items`]), skipping
+    /// the per-request item embedding matmul and the tiled `[c_u ; c_i]`
+    /// assembly. The user side is embedded as a single row, then the
+    /// scorer runs over `[x_u ; x_i]` rows built straight from the table.
+    /// Zero steady-state allocations.
+    ///
+    /// Under the exact kernels (`Policy::Auto`/`ForcedScalar`) the result
+    /// is bit-identical to [`PreferenceModel::score_items_into`] for the
+    /// same parameters: per-row accumulation makes one embedded row equal
+    /// to any row of the tiled batch. Under `Policy::Fused` it is within
+    /// the DESIGN §14 epsilon of it, not bit-identical: once the tiled
+    /// batch is big enough for the blocked kernels the full pass embeds
+    /// the user with fused mul-adds, while the single row here runs the
+    /// exact naive kernel.
     pub fn score_embedded_into(
         &mut self,
         user_content: &[f32],
@@ -239,6 +246,14 @@ fn rows_all_equal(m: &Matrix) -> bool {
         return true;
     };
     m.row_iter().skip(1).all(|row| row.iter().zip(first).all(|(a, b)| a.to_bits() == b.to_bits()))
+}
+
+impl Params for PreferenceModel {
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        self.user_embed.visit_params(visitor);
+        self.item_embed.visit_params(visitor);
+        self.scorer.visit_params(visitor);
+    }
 }
 
 impl Module for PreferenceModel {
@@ -315,12 +330,6 @@ impl Module for PreferenceModel {
         self.item_embed.backward_params(&mut dxi, scratch);
         self.ws.put(WS_DXU, dxu);
         self.ws.put(WS_DXI, dxi);
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        self.user_embed.visit_params(visitor);
-        self.item_embed.visit_params(visitor);
-        self.scorer.visit_params(visitor);
     }
 }
 
@@ -497,11 +506,10 @@ mod tests {
     #[test]
     fn embedded_scoring_is_bit_identical_to_the_full_pass() {
         // The serving fast path: precomputed item embeddings + single-row
-        // user embedding must reproduce score_items_into exactly — under
-        // the scalar kernels, the exact SIMD kernels, and the fused
-        // kernels alike (each policy is bit-deterministic on its own, and
-        // the fast path only reorders *which rows* go through the same
-        // per-row accumulation).
+        // user embedding must reproduce score_items_into exactly. This
+        // model is small enough that every product stays below the
+        // blocked kernels, so even the fused policy runs exact kernels
+        // here; the next test covers blocked shapes.
         use metadpa_tensor::simd::{self, Policy};
         let mut rng = SeededRng::new(11);
         let mut model = PreferenceModel::new(small(), &mut rng);
@@ -521,6 +529,40 @@ mod tests {
                 );
                 model.score_embedded_into(&user, &embeds, &[], &mut fast);
                 assert!(fast.is_empty());
+            });
+        }
+    }
+
+    #[test]
+    fn embedded_scoring_at_blocked_shapes_is_exact_or_within_the_fused_epsilon() {
+        // Large enough that the tiled user embedding (100x48 @ 48x32)
+        // takes the blocked kernels while the fast path's single user row
+        // stays on the naive one. The exact kernels accumulate per row, so
+        // the two agree bitwise; the fused kernels round the batch once
+        // per mul-add but not the single row, so they agree only within
+        // the DESIGN §14 epsilon.
+        use metadpa_tensor::simd::{self, Policy};
+        let config = PreferenceConfig { content_dim: 48, embed_dim: 32, hidden: [64, 32] };
+        let mut rng = SeededRng::new(12);
+        let mut model = PreferenceModel::new(config, &mut rng);
+        let item_content = rng.uniform_matrix(100, 48, -1.0, 1.0);
+        let user: Vec<f32> = (0..48).map(|c| 0.04 * c as f32 - 0.9).collect();
+        let items: Vec<usize> = (0..100).rev().collect();
+        for policy in [Policy::ForcedScalar, Policy::Auto, Policy::Fused] {
+            simd::with_policy(policy, || {
+                let embeds = model.embed_items(&item_content);
+                let full = model.score_items(&user, &item_content, &items);
+                let mut fast = Vec::new();
+                model.score_embedded_into(&user, &embeds, &items, &mut fast);
+                assert_eq!(full.len(), fast.len());
+                for (i, (&x, &y)) in full.iter().zip(&fast).enumerate() {
+                    if policy == Policy::Fused {
+                        let tol = 1e-4 * (1.0 + x.abs().max(y.abs()));
+                        assert!((x - y).abs() <= tol, "item {i}: {y} vs {x} under Fused");
+                    } else {
+                        assert_eq!(x.to_bits(), y.to_bits(), "item {i} drifts under {policy:?}");
+                    }
+                }
             });
         }
     }

@@ -7,7 +7,7 @@
 
 use metadpa_tensor::Matrix;
 
-use crate::module::{Mode, Module};
+use crate::module::{Mode, Module, Params};
 use crate::param::Param;
 
 /// Rectified linear unit, `max(0, x)`.
@@ -21,6 +21,10 @@ impl Relu {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+impl Params for Relu {
+    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {}
 }
 
 impl Module for Relu {
@@ -46,8 +50,6 @@ impl Module for Relu {
         let input = self.cached_input.as_ref().expect("Relu::backward called before forward");
         input.zip_map_into(grad_output, |x, g| if x > 0.0 { g } else { 0.0 }, out);
     }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {}
 }
 
 /// Leaky rectified linear unit with a configurable negative slope.
@@ -61,6 +63,10 @@ impl LeakyRelu {
     pub fn new(slope: f32) -> Self {
         Self { slope, cached_input: None }
     }
+}
+
+impl Params for LeakyRelu {
+    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {}
 }
 
 impl Module for LeakyRelu {
@@ -90,8 +96,6 @@ impl Module for LeakyRelu {
         let s = self.slope;
         input.zip_map_into(grad_output, |x, g| if x > 0.0 { g } else { s * g }, out);
     }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {}
 }
 
 /// Logistic sigmoid, `1 / (1 + e^-x)`.
@@ -118,6 +122,10 @@ pub fn sigmoid(x: f32) -> f32 {
     }
 }
 
+impl Params for Sigmoid {
+    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {}
+}
+
 impl Module for Sigmoid {
     fn forward(&mut self, input: &Matrix, _mode: Mode) -> Matrix {
         let out = input.map(sigmoid);
@@ -142,8 +150,6 @@ impl Module for Sigmoid {
         let y = self.cached_output.as_ref().expect("Sigmoid::backward called before forward");
         y.zip_map_into(grad_output, |y, g| y * (1.0 - y) * g, out);
     }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {}
 }
 
 /// Hyperbolic tangent.
@@ -157,6 +163,10 @@ impl Tanh {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+impl Params for Tanh {
+    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {}
 }
 
 impl Module for Tanh {
@@ -183,8 +193,6 @@ impl Module for Tanh {
         let y = self.cached_output.as_ref().expect("Tanh::backward called before forward");
         y.zip_map_into(grad_output, |y, g| (1.0 - y * y) * g, out);
     }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {}
 }
 
 /// Row-wise softmax.
@@ -230,6 +238,10 @@ pub fn softmax_rows_into(input: &Matrix, out: &mut Matrix) {
     }
 }
 
+impl Params for Softmax {
+    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {}
+}
+
 impl Module for Softmax {
     fn forward(&mut self, input: &Matrix, _mode: Mode) -> Matrix {
         let out = softmax_rows(input);
@@ -271,8 +283,6 @@ impl Module for Softmax {
             }
         }
     }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {}
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use metadpa_tensor::simd::{self, Policy};
 use metadpa_tensor::{Matrix, SeededRng};
 
 use crate::init::xavier_uniform;
-use crate::module::{Mode, Module};
+use crate::module::{Mode, Module, Params};
 use crate::param::Param;
 
 /// A fully connected layer computing `y = x W + b`.
@@ -146,6 +146,13 @@ impl Dense {
     }
 }
 
+impl Params for Dense {
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        visitor(&mut self.weight);
+        visitor(&mut self.bias);
+    }
+}
+
 impl Module for Dense {
     fn forward(&mut self, input: &Matrix, _mode: Mode) -> Matrix {
         assert_eq!(
@@ -204,11 +211,6 @@ impl Module for Dense {
 
     fn backward_params(&mut self, grad_output: &mut Matrix, _scratch: &mut Matrix) {
         self.accumulate_param_grads(grad_output);
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        visitor(&mut self.weight);
-        visitor(&mut self.bias);
     }
 }
 

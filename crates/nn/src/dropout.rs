@@ -2,7 +2,7 @@
 
 use metadpa_tensor::{Matrix, SeededRng};
 
-use crate::module::{Mode, Module};
+use crate::module::{Mode, Module, Params};
 use crate::param::Param;
 
 /// Inverted dropout: during training each activation is zeroed with
@@ -26,6 +26,10 @@ impl Dropout {
         assert!((0.0..1.0).contains(&p), "Dropout::new: p={p} must be in [0, 1)");
         Self { p, rng: rng.fork(0xD20), cached_mask: None }
     }
+}
+
+impl Params for Dropout {
+    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {}
 }
 
 impl Module for Dropout {
@@ -54,8 +58,6 @@ impl Module for Dropout {
             None => grad_output.clone(),
         }
     }
-
-    fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {}
 }
 
 #[cfg(test)]

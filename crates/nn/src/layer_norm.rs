@@ -8,7 +8,7 @@
 
 use metadpa_tensor::Matrix;
 
-use crate::module::{Mode, Module};
+use crate::module::{Mode, Module, Params};
 use crate::param::Param;
 
 /// Per-row layer normalization with learned gain and bias.
@@ -35,6 +35,13 @@ impl LayerNorm {
     /// Normalized width.
     pub fn dim(&self) -> usize {
         self.gamma.value.cols()
+    }
+}
+
+impl Params for LayerNorm {
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        visitor(&mut self.gamma);
+        visitor(&mut self.beta);
     }
 }
 
@@ -94,11 +101,6 @@ impl Module for LayerNorm {
             }
         }
         dx
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        visitor(&mut self.gamma);
-        visitor(&mut self.beta);
     }
 }
 

@@ -18,7 +18,7 @@
 //!   and [`infonce::InfoNce`] (the mutual-information estimator backing both
 //!   the MDI and ME constraints);
 //! * optimizers: [`Sgd`] and [`Adam`], operating through
-//!   [`Module::visit_params`] so the same code drives any composite model;
+//!   [`Params::visit_params`] so the same code drives any composite model;
 //! * [`grad_check`]: central-difference gradient verification used
 //!   throughout the test suite — each differentiable component in this
 //!   workspace carries a test proving its analytic gradient matches a
@@ -54,7 +54,7 @@ pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use layer_norm::LayerNorm;
 pub use mlp::Mlp;
-pub use module::{restore, snapshot, snapshot_into, zero_grad, Mode, Module};
+pub use module::{restore, snapshot, snapshot_into, zero_grad, Mode, Module, Params};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
 pub use schedule::{clip_grad_norm, LrSchedule};

@@ -6,7 +6,7 @@ use metadpa_tensor::{Matrix, SeededRng};
 
 use crate::activation::Relu;
 use crate::dense::Dense;
-use crate::module::{Mode, Module};
+use crate::module::{Mode, Module, Params};
 use crate::param::Param;
 use crate::sequential::Sequential;
 
@@ -65,6 +65,12 @@ impl Mlp {
     }
 }
 
+impl Params for Mlp {
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        self.net.visit_params(visitor);
+    }
+}
+
 impl Module for Mlp {
     fn forward(&mut self, input: &Matrix, mode: Mode) -> Matrix {
         self.net.forward(input, mode)
@@ -84,10 +90,6 @@ impl Module for Mlp {
 
     fn backward_params(&mut self, grad_output: &mut Matrix, scratch: &mut Matrix) {
         self.net.backward_params(grad_output, scratch);
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        self.net.visit_params(visitor);
     }
 }
 

@@ -1,4 +1,5 @@
-//! The [`Module`] trait: the composition contract for all layers and models.
+//! The [`Params`] and [`Module`] traits: parameter ownership, and the
+//! composition contract for all layers and models.
 
 use metadpa_tensor::Matrix;
 
@@ -17,6 +18,24 @@ pub enum Mode {
     Eval,
 }
 
+/// Anything that owns trainable parameters.
+///
+/// Optimizers, gradient clipping and the snapshot/restore helpers below
+/// need only this, so a model trained through its own entry points (the
+/// Dual-CVAE, the InfoNCE critic) implements it without being a
+/// [`Module`].
+pub trait Params {
+    /// Visits every trainable parameter in a stable order.
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param));
+
+    /// Total number of scalar parameters.
+    fn param_count(&mut self) -> usize {
+        let mut n = 0;
+        self.visit_params(&mut |p| n += p.len());
+        n
+    }
+}
+
 /// A differentiable component with cached activations.
 ///
 /// The contract mirrors classic define-by-run layers:
@@ -28,12 +47,12 @@ pub enum Mode {
 ///    the output of the *most recent* forward call, **accumulates** parameter
 ///    gradients, and returns the gradient with respect to the input;
 ///    [`Module::backward_params`] does the same without the input gradient.
-/// 3. [`Module::visit_params`] exposes every trainable [`Param`] in a stable
+/// 3. [`Params::visit_params`] exposes every trainable [`Param`] in a stable
 ///    order, which optimizers and the MAML snapshot/restore helpers rely on.
 ///
 /// Calling `backward` before `forward`, or with a mismatched batch size, is a
 /// programming error and panics.
-pub trait Module {
+pub trait Module: Params {
     /// Runs the layer on `input`, caching activations for `backward`.
     fn forward(&mut self, input: &Matrix, mode: Mode) -> Matrix;
 
@@ -72,20 +91,10 @@ pub trait Module {
     fn backward_params(&mut self, grad_output: &mut Matrix, scratch: &mut Matrix) {
         self.backward_into(grad_output, scratch);
     }
-
-    /// Visits every trainable parameter in a stable order.
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param));
-
-    /// Total number of scalar parameters.
-    fn param_count(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p| n += p.len());
-        n
-    }
 }
 
 /// Clears the gradient accumulators of every parameter in `module`.
-pub fn zero_grad(module: &mut dyn Module) {
+pub fn zero_grad(module: &mut dyn Params) {
     module.visit_params(&mut |p| p.zero_grad());
 }
 
@@ -93,7 +102,7 @@ pub fn zero_grad(module: &mut dyn Module) {
 ///
 /// Together with [`restore`] this implements the cheap "save θ, adapt,
 /// rewind" cycle at the heart of the MAML inner loop (paper Eq. 1).
-pub fn snapshot(module: &mut dyn Module) -> Vec<Matrix> {
+pub fn snapshot(module: &mut dyn Params) -> Vec<Matrix> {
     let mut out = Vec::new();
     snapshot_into(module, &mut out);
     out
@@ -104,7 +113,7 @@ pub fn snapshot(module: &mut dyn Module) -> Vec<Matrix> {
 /// The zero-allocation twin of [`snapshot`]: after the first call on a given
 /// buffer only element data is copied, so a MAML inner loop that snapshots θ
 /// every meta-batch allocates nothing in steady state.
-pub fn snapshot_into(module: &mut dyn Module, out: &mut Vec<Matrix>) {
+pub fn snapshot_into(module: &mut dyn Params, out: &mut Vec<Matrix>) {
     let mut idx = 0;
     module.visit_params(&mut |p| {
         match out.get_mut(idx) {
@@ -120,7 +129,7 @@ pub fn snapshot_into(module: &mut dyn Module, out: &mut Vec<Matrix>) {
 ///
 /// # Panics
 /// Panics if `saved` does not match the module's parameter structure.
-pub fn restore(module: &mut dyn Module, saved: &[Matrix]) {
+pub fn restore(module: &mut dyn Params, saved: &[Matrix]) {
     let mut idx = 0;
     module.visit_params(&mut |p| {
         assert!(idx < saved.len(), "restore: snapshot has too few parameter matrices");
@@ -140,10 +149,10 @@ pub fn restore(module: &mut dyn Module, saved: &[Matrix]) {
 /// Copies the current parameter values out of `module` as a named-tensor
 /// list: `{prefix}.p000`, `{prefix}.p001`, … in visit order.
 ///
-/// [`Module::visit_params`] guarantees a stable order, so the index-based
+/// [`Params::visit_params`] guarantees a stable order, so the index-based
 /// names are a durable identity — this is the serialization hook the
 /// checkpoint format (`metadpa-serve`) builds on.
-pub fn named_snapshot(module: &mut dyn Module, prefix: &str) -> Vec<(String, Matrix)> {
+pub fn named_snapshot(module: &mut dyn Params, prefix: &str) -> Vec<(String, Matrix)> {
     let mut out = Vec::new();
     module.visit_params(&mut |p| {
         out.push((format!("{prefix}.p{:03}", out.len()), p.value.clone()));
@@ -158,7 +167,7 @@ pub fn named_snapshot(module: &mut dyn Module, prefix: &str) -> Vec<(String, Mat
 /// checkpoint from disk must surface mismatches (wrong architecture, wrong
 /// prefix, truncated table) as typed errors, not aborts.
 pub fn restore_named(
-    module: &mut dyn Module,
+    module: &mut dyn Params,
     prefix: &str,
     tensors: &[(String, Matrix)],
 ) -> Result<(), String> {
@@ -208,7 +217,7 @@ pub fn restore_named(
 /// Used by first-order MAML: query-set gradients computed at the adapted
 /// parameters are harvested with this function and then applied to the
 /// meta-parameters.
-pub fn snapshot_grads(module: &mut dyn Module) -> Vec<Matrix> {
+pub fn snapshot_grads(module: &mut dyn Params) -> Vec<Matrix> {
     let mut out = Vec::new();
     snapshot_grads_into(module, &mut out);
     out
@@ -216,7 +225,7 @@ pub fn snapshot_grads(module: &mut dyn Module) -> Vec<Matrix> {
 
 /// Copies gradients into `out`, reusing its existing matrices — the
 /// zero-allocation twin of [`snapshot_grads`].
-pub fn snapshot_grads_into(module: &mut dyn Module, out: &mut Vec<Matrix>) {
+pub fn snapshot_grads_into(module: &mut dyn Params, out: &mut Vec<Matrix>) {
     let mut idx = 0;
     module.visit_params(&mut |p| {
         match out.get_mut(idx) {
@@ -232,7 +241,7 @@ pub fn snapshot_grads_into(module: &mut dyn Module, out: &mut Vec<Matrix>) {
 ///
 /// # Panics
 /// Panics if `grads` does not match the module's parameter structure.
-pub fn accumulate_grads(module: &mut dyn Module, grads: &[Matrix]) {
+pub fn accumulate_grads(module: &mut dyn Params, grads: &[Matrix]) {
     let mut idx = 0;
     module.visit_params(&mut |p| {
         assert!(idx < grads.len(), "accumulate_grads: too few gradient matrices");

@@ -1,6 +1,6 @@
 //! First-order optimizers.
 //!
-//! Optimizers drive any [`Module`] through [`Module::visit_params`]: state
+//! Optimizers drive any [`Params`] owner through [`Params::visit_params`]: state
 //! (e.g. Adam moments) is keyed by visit order, which is stable for a given
 //! model structure. The usual cycle is
 //!
@@ -10,20 +10,20 @@
 
 use metadpa_tensor::Matrix;
 
-use crate::module::Module;
+use crate::module::Params;
 use crate::param::Param;
 
 /// A first-order gradient optimizer.
 pub trait Optimizer {
     /// Applies one update step from the accumulated gradients of `module`.
-    fn step(&mut self, module: &mut dyn Module);
+    fn step(&mut self, module: &mut dyn Params);
 }
 
 /// Global L2 norm over every parameter gradient of `module`, in visit
 /// order — the grad-norm tap shared by the optimizers' gauges and the
 /// training-telemetry `train_epoch` records. Read-only: never touches
 /// parameter values, so calling it cannot perturb training.
-pub fn global_grad_norm(module: &mut dyn Module) -> f64 {
+pub fn global_grad_norm(module: &mut dyn Params) -> f64 {
     let mut sq_norm = 0.0f64;
     module.visit_params(&mut |p| {
         let n = p.grad.frobenius_norm() as f64;
@@ -85,7 +85,7 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, module: &mut dyn Module) {
+    fn step(&mut self, module: &mut dyn Params) {
         metadpa_obs::counter_add!("nn.optim.sgd.steps", 1u64);
         if metadpa_obs::enabled() {
             metadpa_obs::gauge_set!("nn.optim.sgd.grad_norm", global_grad_norm(module));
@@ -170,7 +170,7 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, module: &mut dyn Module) {
+    fn step(&mut self, module: &mut dyn Params) {
         metadpa_obs::counter_add!("nn.optim.adam.steps", 1u64);
         if metadpa_obs::enabled() {
             metadpa_obs::gauge_set!("nn.optim.adam.grad_norm", global_grad_norm(module));
@@ -205,7 +205,7 @@ mod tests {
     use super::*;
     use crate::dense::Dense;
     use crate::loss::mse;
-    use crate::module::{zero_grad, Mode};
+    use crate::module::{zero_grad, Mode, Module};
     use metadpa_tensor::SeededRng;
 
     /// Trains y = 2x + 1 with a single Dense(1,1); both optimizers must

@@ -6,7 +6,7 @@
 //! annealing, linear warmup, and global-norm gradient clipping (useful
 //! when the Dual-CVAE objective's InfoNCE terms spike early in training).
 
-use crate::module::Module;
+use crate::module::Params;
 
 /// A learning-rate schedule: maps a 0-based step index to a rate.
 pub trait LrSchedule {
@@ -91,7 +91,7 @@ impl<S: LrSchedule> LrSchedule for Warmup<S> {
 ///
 /// # Panics
 /// Panics if `max_norm` is not positive.
-pub fn clip_grad_norm(module: &mut dyn Module, max_norm: f32) -> f32 {
+pub fn clip_grad_norm(module: &mut dyn Params, max_norm: f32) -> f32 {
     assert!(max_norm > 0.0, "clip_grad_norm: max_norm must be positive");
     let mut total_sq = 0.0f64;
     module.visit_params(&mut |p| {

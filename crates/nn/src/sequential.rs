@@ -2,7 +2,7 @@
 
 use metadpa_tensor::Matrix;
 
-use crate::module::{Mode, Module};
+use crate::module::{Mode, Module, Params};
 use crate::param::Param;
 
 /// A chain of modules applied in order.
@@ -42,6 +42,14 @@ impl Sequential {
     /// True when the chain contains no layers.
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
+    }
+}
+
+impl Params for Sequential {
+    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        for layer in &mut self.layers {
+            layer.visit_params(visitor);
+        }
     }
 }
 
@@ -114,12 +122,6 @@ impl Module for Sequential {
             first.backward_params(grad_output, scratch);
         } else {
             first.backward_params(scratch, grad_output);
-        }
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        for layer in &mut self.layers {
-            layer.visit_params(visitor);
         }
     }
 }

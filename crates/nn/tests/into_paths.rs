@@ -3,7 +3,9 @@
 //! buffer scheme, at every `METADPA_THREADS` setting.
 
 use metadpa_nn::module::{snapshot_grads, zero_grad};
-use metadpa_nn::{Dense, LeakyRelu, Mode, Module, Relu, Sequential, Sigmoid, Softmax, Tanh};
+use metadpa_nn::{
+    Dense, LeakyRelu, Mode, Module, Params, Relu, Sequential, Sigmoid, Softmax, Tanh,
+};
 use metadpa_tensor::pool::with_threads;
 use metadpa_tensor::{Matrix, SeededRng};
 
@@ -105,6 +107,10 @@ fn default_into_impls_fall_back_to_allocating_paths() {
     // A module that only implements the allocating API must work through
     // the `_into` entry points unchanged.
     struct Doubler;
+    impl Params for Doubler {
+        fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut metadpa_nn::Param)) {}
+    }
+
     impl Module for Doubler {
         fn forward(&mut self, input: &Matrix, _mode: Mode) -> Matrix {
             input.scale(2.0)
@@ -112,7 +118,6 @@ fn default_into_impls_fall_back_to_allocating_paths() {
         fn backward(&mut self, grad_output: &Matrix) -> Matrix {
             grad_output.scale(2.0)
         }
-        fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut metadpa_nn::Param)) {}
     }
     let mut seq = Sequential::new().push(Doubler).push(Doubler);
     let mut input = Matrix::from_vec(1, 2, vec![1.0, -2.0]);

@@ -11,7 +11,7 @@
 use metadpa_nn::grad_check::check_module;
 use metadpa_nn::loss::{bce_with_logits, mse};
 use metadpa_nn::mlp::{Activation, Mlp};
-use metadpa_nn::module::{zero_grad, Mode, Module};
+use metadpa_nn::module::{zero_grad, Mode, Module, Params};
 use metadpa_nn::{Adam, Dense, Optimizer, Sequential, Sigmoid, Tanh};
 use metadpa_tensor::SeededRng;
 

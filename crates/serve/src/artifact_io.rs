@@ -1,15 +1,15 @@
-//! Persisting [`Artifact`] values in the `metadpa-ckpt/v1` container.
+//! Persisting [`Artifact`] values in the `metadpa-ckpt/v2` container.
 //!
 //! The artifact's metadata becomes the checkpoint's JSON blob (schema
 //! [`metadpa_core::artifact::ARTIFACT_SCHEMA`]); its tensors are the
 //! preference-model parameter table (`preference.pNNN`, in visit order)
 //! followed by the two content matrices (`content.user`, `content.item`).
-//! All floats survive the f32 → f64 → f32 trip exactly, so
-//! save → load → [`Artifact::into_recommender`] scores bit-identically
-//! to the model that was exported.
+//! The container stores every f32 as it is, so save → load →
+//! [`Artifact::into_recommender`] scores bit-identically to the model that
+//! was exported.
 
 use metadpa_core::artifact::{
-    Artifact, ArtifactMeta, Precision, ScoreFingerprint, ARTIFACT_SCHEMA, PARAM_PREFIX,
+    Artifact, ArtifactMeta, Ranking, ScoreFingerprint, ARTIFACT_SCHEMA, PARAM_PREFIX,
 };
 use metadpa_core::augmentation::DiversityReport;
 use metadpa_core::{MamlConfig, PreferenceConfig};
@@ -23,7 +23,7 @@ pub const USER_CONTENT_TENSOR: &str = "content.user";
 /// Tensor name of the item-content matrix.
 pub const ITEM_CONTENT_TENSOR: &str = "content.item";
 
-/// Byte offset of the metadata blob inside a v1 checkpoint (magic +
+/// Byte offset of the metadata blob inside a checkpoint (magic +
 /// version + meta_len); metadata-level load errors point here.
 const META_OFFSET: u64 = 20;
 
@@ -70,12 +70,10 @@ fn meta_to_json(meta: &ArtifactMeta) -> String {
         .raw_field("diversity", &div.finish())
         .raw_field("score_fingerprint", &fp.finish())
         .str_field("run_id", &meta.run_id);
-    // Emitted only for f32-precision artifacts: the field doubles as the
-    // checkpoint codec's payload-width switch
-    // ([`crate::ckpt::F32_ENCODING_MARKER`]), and omitting it for the
-    // default keeps every f64 export byte-identical to older writers.
-    if meta.precision == Precision::F32 {
-        w.str_field("tensor_encoding", meta.precision.as_str());
+    // Emitted only for fused ranking, so exact artifacts carry the same
+    // metadata as every writer before the field existed.
+    if meta.ranking == Ranking::Fused {
+        w.str_field("ranking", meta.ranking.as_str());
     }
     w.finish()
 }
@@ -182,12 +180,15 @@ fn meta_from_json(path: &str, meta_json: &str) -> Result<ArtifactMeta, CkptError
     // no "run_id" and load unstamped.
     let run_id =
         root.get("run_id").and_then(JsonValue::as_str).map(str::to_string).unwrap_or_default();
-    // Optional: absent on every checkpoint written before the f32 tensor
-    // encoding existed, which all used (and keep using) the f64 payload.
-    let precision = match root.get("tensor_encoding").and_then(JsonValue::as_str) {
-        None => Precision::F64,
-        Some("f32") => Precision::F32,
-        Some(other) => {
+    // Optional: written only for fused ranking. Version-1 checkpoints
+    // said so with `"tensor_encoding":"f32"` instead, which also ranked
+    // fused.
+    let field = |key| root.get(key).map(|v| v.as_str().unwrap_or("?"));
+    let ranking = match (field("ranking"), field("tensor_encoding")) {
+        (None | Some("exact"), None) => Ranking::Exact,
+        (Some("fused"), None) | (None, Some("f32")) => Ranking::Fused,
+        (Some(other), _) => return Err(meta_err(path, format!("unknown ranking {other:?}"))),
+        (None, Some(other)) => {
             return Err(meta_err(path, format!("unknown tensor_encoding {other:?}")));
         }
     };
@@ -201,7 +202,7 @@ fn meta_from_json(path: &str, meta_json: &str) -> Result<ArtifactMeta, CkptError
         diversity,
         score_fingerprint,
         run_id,
-        precision,
+        ranking,
     })
 }
 
@@ -237,12 +238,12 @@ pub fn from_checkpoint(path: &str, ckpt: Checkpoint) -> Result<Artifact, CkptErr
     Ok(Artifact { meta, params, user_content, item_content })
 }
 
-/// Saves an artifact as a `metadpa-ckpt/v1` file.
+/// Saves an artifact as a `metadpa-ckpt/v2` file.
 pub fn save_artifact(path: &str, artifact: &Artifact) -> Result<(), CkptError> {
     ckpt::save(path, &to_checkpoint(artifact))
 }
 
-/// Loads an artifact from a `metadpa-ckpt/v1` file.
+/// Loads an artifact from a `metadpa-ckpt` file of any readable version.
 pub fn load_artifact(path: &str) -> Result<Artifact, CkptError> {
     from_checkpoint(path, ckpt::load(path)?)
 }
@@ -298,34 +299,40 @@ mod tests {
     }
 
     #[test]
-    fn f32_precision_artifacts_round_trip_with_the_narrow_encoding() {
+    fn fused_ranking_round_trips_and_exact_writes_no_field() {
         let mut artifact = tiny_artifact(8);
-        artifact.meta.precision = Precision::F32;
+        artifact.meta.ranking = Ranking::Fused;
         let ckpt = to_checkpoint(&artifact);
-        assert!(
-            ckpt.meta_json.contains(ckpt::F32_ENCODING_MARKER),
-            "f32 metadata must carry the codec's payload-width marker: {}",
-            ckpt.meta_json
-        );
+        assert!(ckpt.meta_json.contains("\"ranking\":\"fused\""), "{}", ckpt.meta_json);
         let back = from_checkpoint("mem", ckpt.clone()).expect("round trip");
-        assert_eq!(back.meta.precision, Precision::F32);
-        assert_eq!(back.params, artifact.params, "f32 payload is lossless for f32 data");
-        assert_eq!(back.user_content, artifact.user_content);
-        assert_eq!(back.item_content, artifact.item_content);
+        assert_eq!(back.meta.ranking, Ranking::Fused);
+        assert_eq!(back.params, artifact.params);
         assert_eq!(ckpt::encode(&to_checkpoint(&back)), ckpt::encode(&ckpt), "stable bytes");
 
-        // The default stays the default: no marker, f64 payload, and the
-        // loaded precision field says so.
+        // The default stays the default: no field, and the loaded ranking
+        // says so.
         let default = to_checkpoint(&tiny_artifact(8));
-        assert!(!default.meta_json.contains("tensor_encoding"));
+        assert!(!default.meta_json.contains("ranking"));
         let back = from_checkpoint("mem", default).expect("default round trip");
-        assert_eq!(back.meta.precision, Precision::F64);
+        assert_eq!(back.meta.ranking, Ranking::Exact);
 
-        // An unknown encoding is malformed, not silently misread.
+        // Version-1 metadata said "fused" through the tensor encoding.
+        let mut legacy = to_checkpoint(&artifact);
+        legacy.meta_json =
+            legacy.meta_json.replace("\"ranking\":\"fused\"", "\"tensor_encoding\":\"f32\"");
+        assert_eq!(
+            from_checkpoint("mem", legacy.clone()).expect("v1").meta.ranking,
+            Ranking::Fused
+        );
+
+        // Unknown values are malformed, not silently misread.
         let mut alien = to_checkpoint(&artifact);
-        alien.meta_json = alien.meta_json.replace("\"f32\"", "\"f16\"");
+        alien.meta_json = alien.meta_json.replace("\"fused\"", "\"turbo\"");
         let err = from_checkpoint("mem", alien).unwrap_err();
-        assert!(err.to_string().contains("tensor_encoding"), "{err}");
+        assert!(err.to_string().contains("turbo"), "{err}");
+        legacy.meta_json = legacy.meta_json.replace("\"f32\"", "\"f16\"");
+        let err = from_checkpoint("mem", legacy).unwrap_err();
+        assert!(err.to_string().contains("f16"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! `metadpa-serve` — export, run and smoke-test serving artifacts.
 //!
 //! ```text
-//! metadpa-serve export --out artifact.ckpt [--seed N] [--precision f64|f32]
+//! metadpa-serve export --out artifact.ckpt [--seed N] [--ranking exact|fused]
 //!     Fit the fast MetaDPA pipeline on the tiny synthetic world and
-//!     export the result as a metadpa-ckpt/v1 artifact. The default
-//!     (f64) encoding is byte-identical to what earlier builds wrote;
-//!     --precision f32 writes the narrow tensor encoding, and a serve
-//!     process that loads it ranks catalogues through the fused-FMA
-//!     kernels.
+//!     export the result as a metadpa-ckpt/v2 artifact. With
+//!     --ranking fused, a serve process that loads it ranks catalogues
+//!     through the fused-FMA kernels; the default ranks exactly.
 //!
 //! metadpa-serve run --artifact artifact.ckpt [--addr 127.0.0.1:8787] [--workers 4]
 //!     Load an artifact and serve /v1/recommend, /v1/adapt, /health,
@@ -44,7 +42,7 @@ use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use metadpa_core::artifact::Precision;
+use metadpa_core::artifact::Ranking;
 use metadpa_core::eval::Recommender;
 use metadpa_core::{MetaDpa, MetaDpaConfig};
 use metadpa_data::generator::generate_world;
@@ -58,7 +56,7 @@ use metadpa_serve::{load_artifact, router, router_with_feedback, save_artifact, 
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: metadpa-serve export --out PATH [--seed N] [--precision f64|f32] [--train-trace-out PATH]\n\
+        "usage: metadpa-serve export --out PATH [--seed N] [--ranking exact|fused] [--train-trace-out PATH]\n\
          \x20      metadpa-serve run --artifact PATH [--addr HOST:PORT] [--workers N] [--trace-out PATH]\n\
          \x20          [--feedback-log PATH] [--feedback-threshold N] [--adapt-cache-capacity N]\n\
          \x20      metadpa-serve smoke --artifact PATH [--trace-out PATH]"
@@ -84,11 +82,11 @@ fn cmd_export(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let precision = match flag_value(args, "--precision").as_deref() {
-        None | Some("f64") => Precision::F64,
-        Some("f32") => Precision::F32,
+    let ranking = match flag_value(args, "--ranking").as_deref() {
+        None | Some("exact") => Ranking::Exact,
+        Some("fused") => Ranking::Fused,
         Some(other) => {
-            eprintln!("export: --precision must be f64 or f32, got {other:?}");
+            eprintln!("export: --ranking must be exact or fused, got {other:?}");
             return ExitCode::from(2);
         }
     };
@@ -99,19 +97,18 @@ fn cmd_export(args: &[String]) -> ExitCode {
     let mut model = MetaDpa::new(MetaDpaConfig::fast());
     model.fit(&world, &warm);
     let mut artifact = model.export_artifact(&world);
-    // Training always runs at the default precision; the flag only picks
-    // the tensor encoding the artifact is written with (and, through the
-    // meta, the fused serving kernels it will rank with when loaded).
-    artifact.meta.precision = precision;
+    // Training always runs with the exact kernels; the flag only picks
+    // the kernels the loaded artifact will rank with.
+    artifact.meta.ranking = ranking;
     eprintln!(
-        "exporting {} ({} tensors, {} users, {} items, rev {}, data {}, precision {})",
+        "exporting {} ({} tensors, {} users, {} items, rev {}, data {}, ranking {})",
         artifact.meta.model_name,
         artifact.params.len() + 2,
         artifact.user_content.rows(),
         artifact.item_content.rows(),
         artifact.meta.git_rev,
         artifact.meta.data_fingerprint,
-        artifact.meta.precision.as_str(),
+        artifact.meta.ranking.as_str(),
     );
     match save_artifact(&out, &artifact) {
         Ok(()) => {
@@ -252,6 +249,7 @@ fn expect(cond: bool, what: &str, detail: &str) -> Result<(), String> {
 
 fn run_smoke(engine: Arc<Engine>) -> Result<(), String> {
     let content_dim = engine.content_dim();
+    let ranking = format!("\"ranking\":\"{}\"", engine.meta().ranking.as_str());
     let server =
         serve(ServerConfig { workers: 2, ..ServerConfig::default() }, router(Arc::clone(&engine)))
             .map_err(|e| format!("bind failed: {e}"))?;
@@ -262,6 +260,7 @@ fn run_smoke(engine: Arc<Engine>) -> Result<(), String> {
         let (status, body) = loopback(addr, "GET", "/health", "");
         expect(status == 200, "GET /health is 200", &body)?;
         expect(body.contains("\"status\":\"ok\""), "/health body is well-formed", &body)?;
+        expect(body.contains(&ranking), "/health reports the artifact's ranking", &body)?;
 
         let (status, body) = loopback(addr, "POST", "/v1/recommend", r#"{"user_id":0,"k":5}"#);
         expect(status == 200, "warm /v1/recommend is 200", &body)?;

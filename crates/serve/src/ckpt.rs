@@ -1,10 +1,10 @@
-//! The `metadpa-ckpt/v1` on-disk checkpoint container.
+//! The `metadpa-ckpt/v2` on-disk checkpoint container.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
 //! offset 0   magic        8 bytes  b"MDPACKPT"
-//! offset 8   version      u32      currently 1
+//! offset 8   version      u32      currently 2
 //! offset 12  meta_len     u64
 //! offset 20  meta         meta_len bytes of UTF-8 JSON
 //!            n_tensors    u64
@@ -13,21 +13,20 @@
 //!              name       name_len bytes of UTF-8
 //!              rows       u64
 //!              cols       u64
-//!              payload    rows*cols values (see tensor encoding below)
+//!              payload    rows*cols f32-LE values
 //! footer     crc32        u32      CRC-32 (IEEE) of everything above
 //! ```
 //!
-//! **Tensor encoding.** By default values are stored as f64 even though
-//! the in-memory [`metadpa_tensor::Matrix`] is f32: the widening is
-//! exact, so a save → load → save cycle is byte-identical and a loaded
-//! model scores bit-exactly like the one that was saved. When the
-//! metadata blob contains the literal [`F32_ENCODING_MARKER`]
-//! (`"tensor_encoding":"f32"`, written by `export --precision f32`), the
-//! payload is rows*cols f32-LE values instead — half the bytes, still
-//! lossless (the values *are* f32), still CRC-protected, same version 1
-//! container. Both encodings are read by the same decoder; files without
-//! the marker — every checkpoint written before it existed — decode
-//! exactly as before.
+//! **Tensor encoding.** Values are stored as the f32 they are in memory,
+//! so a save → load → save cycle is byte-identical and a loaded model
+//! scores bit-exactly like the one that was saved. This module is the only
+//! place that knows the payload width.
+//!
+//! **Version 1** (read, never written) had the same layout with one
+//! difference: its payload was f64-LE, the exact widening of each f32,
+//! unless the metadata blob contained the literal
+//! `"tensor_encoding":"f32"`, in which case it was f32-LE as in version 2.
+//! Both v1 encodings decode to the same tensors.
 //!
 //! Loading never panics. Every failure is a [`CkptError`] carrying the
 //! file path, the byte offset where decoding stopped, and a
@@ -42,32 +41,20 @@ use metadpa_tensor::Matrix;
 /// File magic: the first 8 bytes of every checkpoint.
 pub const MAGIC: &[u8; 8] = b"MDPACKPT";
 
-/// Current (and only) format version.
-pub const VERSION: u32 = 1;
+/// The format version this build writes.
+pub const VERSION: u32 = 2;
 
 /// Schema label used in logs and docs.
-pub const CKPT_SCHEMA: &str = "metadpa-ckpt/v1";
+pub const CKPT_SCHEMA: &str = "metadpa-ckpt/v2";
 
 /// Upper bound on a tensor-name length; longer names mean a scrambled
 /// length field, not a real checkpoint.
 const MAX_NAME_LEN: u64 = 4096;
 
-/// Literal metadata substring that switches the tensor payload to f32-LE.
-///
-/// Matched as a substring (the checkpoint layer does not parse the
-/// metadata JSON it transports), so writers must emit it exactly —
-/// [`payload_width`] is shared by encode and decode, which keeps the two
-/// sides consistent by construction.
-pub const F32_ENCODING_MARKER: &str = "\"tensor_encoding\":\"f32\"";
-
-/// Bytes per tensor value for a checkpoint with this metadata blob.
-fn payload_width(meta_json: &str) -> usize {
-    if meta_json.contains(F32_ENCODING_MARKER) {
-        4
-    } else {
-        8
-    }
-}
+/// The metadata substring that switched a version-1 payload to f32-LE
+/// (matched as a substring: the container does not parse the JSON it
+/// transports). Version 2 ignores it.
+const V1_F32_MARKER: &str = "\"tensor_encoding\":\"f32\"";
 
 /// What went wrong while loading a checkpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -160,11 +147,10 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
-/// Serializes a checkpoint to the `metadpa-ckpt/v1` byte layout.
+/// Serializes a checkpoint to the `metadpa-ckpt/v2` byte layout.
 pub fn encode(ckpt: &Checkpoint) -> Vec<u8> {
-    let width = payload_width(&ckpt.meta_json);
     let payload: usize =
-        ckpt.tensors.iter().map(|(n, m)| 24 + n.len() + width * m.rows() * m.cols()).sum();
+        ckpt.tensors.iter().map(|(n, m)| 24 + n.len() + 4 * m.rows() * m.cols()).sum();
     let mut buf = Vec::with_capacity(28 + ckpt.meta_json.len() + payload + 4);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
@@ -178,11 +164,7 @@ pub fn encode(ckpt: &Checkpoint) -> Vec<u8> {
         buf.extend_from_slice(&(m.rows() as u64).to_le_bytes());
         buf.extend_from_slice(&(m.cols() as u64).to_le_bytes());
         for &v in m.as_slice() {
-            if width == 4 {
-                buf.extend_from_slice(&v.to_le_bytes());
-            } else {
-                buf.extend_from_slice(&(v as f64).to_le_bytes());
-            }
+            buf.extend_from_slice(&v.to_le_bytes());
         }
     }
     let crc = crc32(&buf);
@@ -254,11 +236,11 @@ pub fn decode(path: &str, buf: &[u8]) -> Result<Checkpoint, CkptError> {
         ));
     }
     let version = r.u32("the version field")?;
-    if version != VERSION {
+    if version != 1 && version != VERSION {
         r.pos = 8;
         return Err(r.err(
             CkptErrorKind::UnsupportedVersion,
-            format!("file is version {version}, this build reads version {VERSION}"),
+            format!("file is version {version}, this build reads versions 1 and {VERSION}"),
         ));
     }
     if buf.len() < r.pos + 4 {
@@ -276,7 +258,7 @@ pub fn decode(path: &str, buf: &[u8]) -> Result<Checkpoint, CkptError> {
         .map_err(|e| r.err(CkptErrorKind::Malformed, format!("metadata is not UTF-8: {e}")))?
         .to_string();
 
-    let width = payload_width(&meta_json);
+    let width = if version == 1 && !meta_json.contains(V1_F32_MARKER) { 8 } else { 4 };
     let n_tensors = r.u64("the tensor count")?;
     let mut tensors = Vec::new();
     for t in 0..n_tensors {
@@ -377,38 +359,62 @@ mod tests {
         assert_eq!(encode(&back), bytes);
     }
 
-    #[test]
-    fn f32_encoding_round_trips_bit_exactly_at_half_the_payload() {
-        let mut f32_ckpt = sample();
-        f32_ckpt.meta_json = format!("{{\"schema\":\"unit\",{F32_ENCODING_MARKER}}}");
-        let f32_bytes = encode(&f32_ckpt);
-        let back = decode("mem", &f32_bytes).expect("decode f32 encoding");
-        assert_eq!(back, f32_ckpt, "f32 values survive the narrow encoding losslessly");
-        assert_eq!(encode(&back), f32_bytes, "save → load → save stays byte-identical");
-
-        // The narrow payload really is half: same tensors, 4 bytes each
-        // instead of 8 (fixed overhead aside).
-        let f64_bytes = encode(&sample());
-        let n_values: usize = f32_ckpt.tensors.iter().map(|(_, m)| m.rows() * m.cols()).sum();
-        let meta_delta = f32_ckpt.meta_json.len() - sample().meta_json.len();
-        assert_eq!(f64_bytes.len() + meta_delta, f32_bytes.len() + 4 * n_values);
+    /// The version-1 bytes of `ckpt` with `width`-byte values (8 = the
+    /// f64 widening, 4 = the marked f32 encoding).
+    fn encode_v1(ckpt: &Checkpoint, width: usize) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&(ckpt.meta_json.len() as u64).to_le_bytes());
+        buf.extend_from_slice(ckpt.meta_json.as_bytes());
+        buf.extend_from_slice(&(ckpt.tensors.len() as u64).to_le_bytes());
+        for (name, m) in &ckpt.tensors {
+            buf.extend_from_slice(&(name.len() as u64).to_le_bytes());
+            buf.extend_from_slice(name.as_bytes());
+            buf.extend_from_slice(&(m.rows() as u64).to_le_bytes());
+            buf.extend_from_slice(&(m.cols() as u64).to_le_bytes());
+            for &v in m.as_slice() {
+                if width == 8 {
+                    buf.extend_from_slice(&(v as f64).to_le_bytes());
+                } else {
+                    buf.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
+        let crc = crc32(&buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        buf
     }
 
     #[test]
-    fn unmarked_checkpoints_keep_the_f64_encoding() {
-        // Byte-layout stability for every pre-existing checkpoint: without
-        // the marker the payload stays 8 bytes per value, so files written
-        // before the f32 encoding existed decode unchanged (and the
-        // default export path still produces bit-identical files).
+    fn every_checkpoint_is_written_as_v2_with_f32_payloads() {
         let ckpt = sample();
         let bytes = encode(&ckpt);
+        assert_eq!(bytes[8..12], 2u32.to_le_bytes(), "version field");
         let n_values: usize = ckpt.tensors.iter().map(|(_, m)| m.rows() * m.cols()).sum();
         let fixed: usize = 8 + 4 + 8 + ckpt.meta_json.len() // magic, version, meta_len, meta
             + 8                                             // n_tensors
             + ckpt.tensors.iter().map(|(n, _)| 24 + n.len()).sum::<usize>()
             + 4; // crc
-        assert_eq!(bytes.len(), fixed + 8 * n_values, "8-byte payload without the marker");
-        assert_eq!(decode("mem", &bytes).expect("decode"), ckpt);
+        assert_eq!(bytes.len(), fixed + 4 * n_values, "4-byte payload per value");
+    }
+
+    #[test]
+    fn version_1_checkpoints_decode_in_both_encodings() {
+        let f64_ckpt = sample();
+        let back = decode("v1", &encode_v1(&f64_ckpt, 8)).expect("unmarked v1 reads f64");
+        assert_eq!(back, f64_ckpt);
+
+        let mut f32_ckpt = sample();
+        f32_ckpt.meta_json = format!("{{\"schema\":\"unit\",{V1_F32_MARKER}}}");
+        let back = decode("v1", &encode_v1(&f32_ckpt, 4)).expect("marked v1 reads f32");
+        assert_eq!(back, f32_ckpt);
+        // A re-save writes version 2 and keeps the metadata as it was.
+        assert_eq!(decode("v2", &encode(&back)).expect("v2"), f32_ckpt);
+
+        // The marker means nothing to version 2: a width mismatch is caught.
+        let mut wrong = encode_v1(&f64_ckpt, 8);
+        wrong[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        assert!(decode("v2", &wrong).is_err(), "an f64 payload is not a v2 file");
     }
 
     #[test]

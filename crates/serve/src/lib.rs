@@ -8,7 +8,7 @@
 //!
 //! Three layers, each usable on its own:
 //!
-//! 1. [`ckpt`] — the `metadpa-ckpt/v1` on-disk format: a zero-dependency
+//! 1. [`ckpt`] — the `metadpa-ckpt/v2` on-disk format: a zero-dependency
 //!    binary container for named tensors plus a JSON metadata blob,
 //!    CRC-protected, with typed load errors that name the file and byte
 //!    offset ([`ckpt::CkptError`]).

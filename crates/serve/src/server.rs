@@ -151,7 +151,7 @@ fn health(engine: &Engine, feedback_enabled: bool) -> Response {
         .str_field("data_fingerprint", &meta.data_fingerprint)
         .str_field("run_id", &meta.run_id)
         .str_field("simd", metadpa_tensor::simd::feature_string())
-        .str_field("precision", meta.precision.as_str())
+        .str_field("ranking", meta.ranking.as_str())
         .u64_field("n_users", engine.n_users() as u64)
         .u64_field("n_items", engine.n_items() as u64)
         .u64_field("content_dim", engine.content_dim() as u64)
@@ -651,8 +651,8 @@ mod tests {
             "/health must surface the detected kernel feature set: {body}"
         );
         assert!(
-            body.contains("\"precision\":\"f64\""),
-            "/health must surface the artifact's tensor precision: {body}"
+            body.contains("\"ranking\":\"exact\""),
+            "/health must surface the artifact's ranking kernels: {body}"
         );
 
         // Warm recommend.

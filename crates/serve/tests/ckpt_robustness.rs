@@ -1,4 +1,4 @@
-//! Robustness of the `metadpa-ckpt/v1` loader: every way a file can be
+//! Robustness of the `metadpa-ckpt` loader: every way a file can be
 //! damaged must surface as a typed [`CkptError`] naming the file and a
 //! byte offset — never a panic, never a silent success.
 

@@ -2,8 +2,7 @@
 //! identical bytes and identical scores whether the exact SIMD kernels or
 //! the scalar kernels run underneath.
 //!
-//! `METADPA_SIMD=off` resolves every matmul to the scalar family — the
-//! byte-for-byte pre-SIMD code path. The default dispatch resolves to the
+//! `METADPA_SIMD=off` resolves every matmul to the scalar kernel family. The default dispatch resolves to the
 //! exact-parity SIMD kernels on AVX2 hosts. The contract is that the two
 //! are indistinguishable from outside: the same training run yields the
 //! same θ, the same exported artifact bytes, and the same served scores.
@@ -16,7 +15,7 @@
 //! pass both sides resolve to scalar and the test pins that the scalar
 //! route is self-consistent.
 
-use metadpa_core::artifact::{artifact_from_learner, Artifact, Precision};
+use metadpa_core::artifact::{artifact_from_learner, Artifact, Ranking};
 use metadpa_core::augmentation::DiversityReport;
 use metadpa_core::{MamlConfig, MetaLearner, PreferenceConfig};
 use metadpa_data::task::Task;
@@ -52,7 +51,7 @@ fn toy_world(rng: &mut SeededRng) -> (Vec<Task>, Matrix, Matrix) {
 }
 
 /// Train a learner and export an artifact, entirely under `policy`.
-fn train_and_export(policy: Policy, precision: Precision) -> Artifact {
+fn train_and_export(policy: Policy, ranking: Ranking) -> Artifact {
     simd::with_policy(policy, || {
         let mut rng = SeededRng::new(4242);
         let (tasks, user_content, item_content) = toy_world(&mut rng);
@@ -70,7 +69,7 @@ fn train_and_export(policy: Policy, precision: Precision) -> Artifact {
             item_content,
             String::new(),
         );
-        artifact.meta.precision = precision;
+        artifact.meta.ranking = ranking;
         artifact
     })
 }
@@ -92,8 +91,8 @@ fn export_bytes(tag: &str, artifact: &Artifact) -> Vec<u8> {
 
 #[test]
 fn training_and_export_bytes_are_identical_with_simd_on_and_off() {
-    let auto = train_and_export(Policy::Auto, Precision::F64);
-    let scalar = train_and_export(Policy::ForcedScalar, Precision::F64);
+    let auto = train_and_export(Policy::Auto, Ranking::Exact);
+    let scalar = train_and_export(Policy::ForcedScalar, Ranking::Exact);
     let auto_bytes = export_bytes("auto", &auto);
     let scalar_bytes = export_bytes("scalar", &scalar);
     assert_eq!(
@@ -104,11 +103,11 @@ fn training_and_export_bytes_are_identical_with_simd_on_and_off() {
 
 #[test]
 fn served_scores_are_identical_with_simd_on_and_off() {
-    // One artifact (default precision), scored under both dispatch
+    // One artifact (default ranking), scored under both dispatch
     // resolutions: warm users and a cold content vector must come out
     // bit-identical, ranks and scores both.
     let path = temp_path("serve");
-    save_artifact(&path, &train_and_export(Policy::Auto, Precision::F64)).expect("save");
+    save_artifact(&path, &train_and_export(Policy::Auto, Ranking::Exact)).expect("save");
     let cold: Vec<f32> = (0..CONTENT_DIM).map(|c| 0.1 * c as f32 - 0.25).collect();
 
     let run = |policy: Policy| {
@@ -137,26 +136,28 @@ fn served_scores_are_identical_with_simd_on_and_off() {
 }
 
 #[test]
-fn f32_artifacts_serve_close_to_the_default_artifact() {
-    // The f32 artifact runs the fused kernels; it trades bit-parity for
+fn fused_ranking_serves_close_to_exact_ranking() {
+    // The fused artifact runs the fused kernels; it trades bit-parity for
     // throughput, so the contract is closeness, not identity: same
     // universe, scores within the documented epsilon (DESIGN.md §14).
-    let f64_path = temp_path("f64");
-    let f32_path = temp_path("f32");
-    save_artifact(&f64_path, &train_and_export(Policy::Auto, Precision::F64)).expect("save f64");
-    save_artifact(&f32_path, &train_and_export(Policy::Auto, Precision::F32)).expect("save f32");
+    let exact_path = temp_path("exact");
+    let fused_path = temp_path("fused");
+    save_artifact(&exact_path, &train_and_export(Policy::Auto, Ranking::Exact))
+        .expect("save exact");
+    save_artifact(&fused_path, &train_and_export(Policy::Auto, Ranking::Fused))
+        .expect("save fused");
 
     let mut exact =
-        load_artifact(&f64_path).expect("load").into_recommender().expect("recommender");
+        load_artifact(&exact_path).expect("load").into_recommender().expect("recommender");
     let mut fused =
-        load_artifact(&f32_path).expect("load").into_recommender().expect("recommender");
-    assert_eq!(exact.meta().precision, Precision::F64);
-    assert_eq!(fused.meta().precision, Precision::F32);
+        load_artifact(&fused_path).expect("load").into_recommender().expect("recommender");
+    assert_eq!(exact.meta().ranking, Ranking::Exact);
+    assert_eq!(fused.meta().ranking, Ranking::Fused);
 
     for user in 0..N_USERS {
-        exact.recommend(user, N_ITEMS, None).expect("warm f64");
+        exact.recommend(user, N_ITEMS, None).expect("warm exact");
         let a: Vec<f32> = exact.last_scores().to_vec();
-        fused.recommend(user, N_ITEMS, None).expect("warm f32");
+        fused.recommend(user, N_ITEMS, None).expect("warm fused");
         let b: Vec<f32> = fused.last_scores().to_vec();
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {
@@ -167,6 +168,6 @@ fn f32_artifacts_serve_close_to_the_default_artifact() {
             );
         }
     }
-    let _ = std::fs::remove_file(&f64_path);
-    let _ = std::fs::remove_file(&f32_path);
+    let _ = std::fs::remove_file(&exact_path);
+    let _ = std::fs::remove_file(&fused_path);
 }

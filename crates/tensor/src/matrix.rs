@@ -601,22 +601,20 @@ impl Matrix {
 
     /// Matrix product `self @ other` (`m x k` times `k x n`).
     ///
-    /// Dispatches a single-column `other` (the scoring head's `n = 1`) to
-    /// a direct dot-product kernel, other tiny shapes (below
-    /// `NAIVE_MAX_MULADDS`) to the retained [`crate::reference`] kernel, and
-    /// the rest to the cache-blocked, B-panel-packed kernel. All of them
-    /// accumulate each output element over `p` in ascending order from
-    /// `+0.0`, so the result is bit-identical regardless of the path taken —
-    /// and bit-identical at any thread count, since the parallel path only
-    /// partitions output rows.
+    /// All three product forms run through one driver (DESIGN §9.1): a
+    /// single-column result goes to a direct narrow kernel, other tiny
+    /// shapes (below `NAIVE_MAX_MULADDS`) to the retained
+    /// [`crate::reference`] kernel, and the rest to the cache-blocked,
+    /// B-panel-packed kernel. All of them accumulate each output element
+    /// over `p` in ascending order from `+0.0`, so the result is
+    /// bit-identical regardless of the path taken — and bit-identical at any
+    /// thread count, since the parallel path only partitions output rows.
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows`.
     #[must_use]
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.matmul_into(other, &mut out);
-        out
+        Layout::NN.product(self, other)
     }
 
     /// [`Matrix::matmul`] into a reused output matrix.
@@ -624,51 +622,7 @@ impl Matrix {
     /// # Panics
     /// Panics if `self.cols != other.rows`.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.rows,
-            "Matrix::matmul: inner dimension mismatch {}x{} @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        metadpa_obs::counter_add!("tensor.matmul.calls", 1u64);
-        metadpa_obs::counter_add!("tensor.matmul.flops", 2 * (m * k * n) as u64);
-        if n == 1 && !fused_blocked(m * k) {
-            metadpa_obs::counter_add!("tensor.matmul.dispatch.narrow", 1u64);
-            out.reset_for_overwrite(m, 1);
-            matvec(&self.data, k, &other.data, &mut out.data);
-            return;
-        }
-        out.reset_zeroed(m, n);
-        if m * k * n < NAIVE_MAX_MULADDS {
-            metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
-            crate::reference::matmul_rows(self, other, 0..m, false, &mut out.data);
-            return;
-        }
-        metadpa_obs::counter_add!("tensor.matmul.dispatch.blocked", 1u64);
-        let path = crate::simd::resolve_and_count();
-        if path == crate::simd::Path::Scalar {
-            with_b_panels(&other.data, k, n, |panels, panel_w| {
-                run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
-                    let arows = &self.data[rows.start * k..rows.end * k];
-                    blocked_rows(arows, rows.len(), k, panels, panel_w, n, tile);
-                });
-            });
-        } else {
-            crate::simd::with_b_tiles(&other.data, k, n, |tiles| {
-                run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
-                    let arows = &self.data[rows.start * k..rows.end * k];
-                    crate::simd::blocked_rows_simd(
-                        arows,
-                        rows.len(),
-                        k,
-                        tiles,
-                        n,
-                        path.fused(),
-                        tile,
-                    );
-                });
-            });
-        }
+        matmul_driver(Layout::NN, self, other, out);
     }
 
     /// `self^T @ other` without materializing the transpose
@@ -678,9 +632,7 @@ impl Matrix {
     /// Panics if `self.rows != other.rows`.
     #[must_use]
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.matmul_tn_into(other, &mut out);
-        out
+        Layout::TN.product(self, other)
     }
 
     /// [`Matrix::matmul_tn`] into a reused output matrix.
@@ -688,59 +640,7 @@ impl Matrix {
     /// # Panics
     /// Panics if `self.rows != other.rows`.
     pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.rows, other.rows,
-            "Matrix::matmul_tn: row mismatch {}x{} ^T @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (k, m, n) = (self.rows, self.cols, other.cols);
-        metadpa_obs::counter_add!("tensor.matmul.calls", 1u64);
-        metadpa_obs::counter_add!("tensor.matmul.flops", 2 * (m * k * n) as u64);
-        out.reset_zeroed(m, n);
-        if n == 1 && !fused_blocked(m * k) {
-            metadpa_obs::counter_add!("tensor.matmul.dispatch.narrow", 1u64);
-            matvec_t(&self.data, m, &other.data, &mut out.data);
-            return;
-        }
-        if m * k * n < NAIVE_MAX_MULADDS {
-            metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
-            crate::reference::matmul_tn_rows(self, other, 0..m, false, &mut out.data);
-            return;
-        }
-        metadpa_obs::counter_add!("tensor.matmul.dispatch.blocked", 1u64);
-        let path = crate::simd::resolve_and_count();
-        if path == crate::simd::Path::Scalar {
-            with_b_panels(&other.data, k, n, |panels, panel_w| {
-                run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
-                    // The transposed operand is accessed with stride `m`;
-                    // pack this task's A^T rows contiguous once, then run
-                    // the same blocked kernel as the NN case.
-                    PACK_A.with(|buf| {
-                        let mut apack = buf.borrow_mut();
-                        pack_at_rows(&self.data, k, m, rows.clone(), &mut apack);
-                        blocked_rows(&apack, rows.len(), k, panels, panel_w, n, tile);
-                    });
-                });
-            });
-        } else {
-            crate::simd::with_b_tiles(&other.data, k, n, |tiles| {
-                run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
-                    PACK_A.with(|buf| {
-                        let mut apack = buf.borrow_mut();
-                        pack_at_rows(&self.data, k, m, rows.clone(), &mut apack);
-                        crate::simd::blocked_rows_simd(
-                            &apack,
-                            rows.len(),
-                            k,
-                            tiles,
-                            n,
-                            path.fused(),
-                            tile,
-                        );
-                    });
-                });
-            });
-        }
+        matmul_driver(Layout::TN, self, other, out);
     }
 
     /// `self @ other^T` without materializing the transpose
@@ -750,9 +650,7 @@ impl Matrix {
     /// Panics if `self.cols != other.cols`.
     #[must_use]
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.matmul_nt_into(other, &mut out);
-        out
+        Layout::NT.product(self, other)
     }
 
     /// [`Matrix::matmul_nt`] into a reused output matrix.
@@ -760,54 +658,7 @@ impl Matrix {
     /// # Panics
     /// Panics if `self.cols != other.cols`.
     pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.cols,
-            "Matrix::matmul_nt: column mismatch {}x{} @ {}x{}^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        metadpa_obs::counter_add!("tensor.matmul.calls", 1u64);
-        metadpa_obs::counter_add!("tensor.matmul.flops", 2 * (m * k * n) as u64);
-        // Packing B^T costs k*n writes, amortized over the m output rows —
-        // worth it only when there are at least a few rows to amortize over.
-        let blocked = m * k * n >= NAIVE_MAX_MULADDS && m >= MR;
-        if k == 1 && !(blocked && crate::simd::fused_selected()) {
-            metadpa_obs::counter_add!("tensor.matmul.dispatch.narrow", 1u64);
-            out.reset_for_overwrite(m, n);
-            outer(&self.data, &other.data, &mut out.data);
-            return;
-        }
-        out.reset_zeroed(m, n);
-        if !blocked {
-            metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
-            crate::reference::matmul_nt_rows(self, other, 0..m, &mut out.data);
-        } else {
-            metadpa_obs::counter_add!("tensor.matmul.dispatch.blocked", 1u64);
-            let path = crate::simd::resolve_and_count();
-            if path == crate::simd::Path::Scalar {
-                with_bt_panels(&other.data, k, n, |panels, panel_w| {
-                    run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
-                        let arows = &self.data[rows.start * k..rows.end * k];
-                        blocked_rows(arows, rows.len(), k, panels, panel_w, n, tile);
-                    });
-                });
-            } else {
-                crate::simd::with_bt_tiles(&other.data, k, n, |tiles| {
-                    run_rows(m, m * k * n, &mut out.data, n, |rows, tile| {
-                        let arows = &self.data[rows.start * k..rows.end * k];
-                        crate::simd::blocked_rows_simd(
-                            arows,
-                            rows.len(),
-                            k,
-                            tiles,
-                            n,
-                            path.fused(),
-                            tile,
-                        );
-                    });
-                });
-            }
-        }
+        matmul_driver(Layout::NT, self, other, out);
     }
 
     /// Dot product of two equal-length row-major matrices viewed as vectors.
@@ -882,16 +733,8 @@ thread_local! {
     /// dispatching thread; zero steady-state allocations).
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Reused packing buffer for a row task's A^T rows in `matmul_tn` (one
-    /// per executing thread — pool workers pack their own row range).
+    /// per executing thread, see [`with_a_rows`]).
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Whether a product of `muladds` multiply-adds would run the FMA-fused
-/// blocked kernels. Those round once per multiply-add, so the exact narrow
-/// kernels must leave such products to them; below `NAIVE_MAX_MULADDS`
-/// the fused policy already runs the exact naive kernel.
-fn fused_blocked(muladds: usize) -> bool {
-    muladds >= NAIVE_MAX_MULADDS && crate::simd::fused_selected()
 }
 
 /// Narrow kernel for `a @ b` with a single-column `b` (`m x k` times
@@ -943,41 +786,142 @@ fn outer(a: &[f32], b: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Hands `f` the B operand as packed column panels.
-///
-/// When `n > JT` the panels are packed once per call into a reused
-/// thread-local buffer (panel `t` holds columns `t*JT..` as a contiguous
-/// `k x w` block, values copied bit-exactly) and shared read-only across
-/// all row tasks. When B is a single panel (`n <= JT`) its row-major
-/// storage *is* the panel layout, so it is passed through without copying.
-fn with_b_panels(b: &[f32], k: usize, n: usize, f: impl FnOnce(&[f32], usize)) {
-    if n > JT {
-        PACK_B.with(|buf| {
-            let mut packed = buf.borrow_mut();
-            packed.clear();
-            packed.resize(k * n, 0.0);
-            let mut j0 = 0;
-            while j0 < n {
-                let w = JT.min(n - j0);
-                let base = k * j0;
-                for p in 0..k {
-                    packed[base + p * w..base + (p + 1) * w]
-                        .copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
-                }
-                j0 += w;
-            }
-            metadpa_obs::counter_add!("tensor.matmul.packed_panels", n.div_ceil(JT) as u64);
-            f(&packed, JT);
-        });
-    } else {
-        f(b, n.max(1));
+/// The operand layout of one product: which side is read transposed.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// `a @ b` (`m x k` times `k x n`).
+    NN,
+    /// `a^T @ b` (`k x m`^T times `k x n`).
+    TN,
+    /// `a @ b^T` (`m x k` times `n x k`^T).
+    NT,
+}
+
+impl Layout {
+    /// `(m, k, n)` of `a` and `b` read in this layout.
+    ///
+    /// # Panics
+    /// Panics if the operands' inner dimensions disagree.
+    fn dims(self, a: &Matrix, b: &Matrix) -> (usize, usize, usize) {
+        let (name, m, k, n, b_inner) = match self {
+            Layout::NN => ("matmul", a.rows, a.cols, b.cols, b.rows),
+            Layout::TN => ("matmul_tn", a.cols, a.rows, b.cols, b.rows),
+            Layout::NT => ("matmul_nt", a.rows, a.cols, b.rows, b.cols),
+        };
+        assert!(
+            k == b_inner,
+            "Matrix::{name}: inner dimension mismatch {}x{}{} @ {}x{}{}",
+            a.rows,
+            a.cols,
+            if self == Layout::TN { " ^T" } else { "" },
+            b.rows,
+            b.cols,
+            if self == Layout::NT { "^T" } else { "" },
+        );
+        (m, k, n)
+    }
+
+    /// The product into a fresh matrix.
+    #[inline(always)]
+    fn product(self, a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        matmul_driver(self, a, b, &mut out);
+        out
     }
 }
 
-/// Hands `f` the `n x k` operand `b` packed as panels of its transpose
-/// (`B^T`, `k x n`), for [`Matrix::matmul_nt`]. Always copies — the
-/// transposed layout never matches storage — into the same reused buffer.
-fn with_bt_panels(b: &[f32], k: usize, n: usize, f: impl FnOnce(&[f32], usize)) {
+/// The one matmul driver behind every product form: counts the call, then
+/// picks a narrow, naive or blocked kernel from `(m, k, n)`, the layout and
+/// the SIMD policy alone (DESIGN §9.1).
+///
+/// * A single-column result (`n = 1` for NN/TN, `k = 1` for NT) runs its
+///   exact narrow kernel, unless the FMA-fused blocked kernels would take
+///   the shape: those round once per multiply-add, so the fused policy
+///   keeps them.
+/// * Below `NAIVE_MAX_MULADDS` the naive kernel runs. NT also stays naive
+///   with fewer than `MR` rows: packing `B^T` costs `k·n` writes, amortized
+///   over the `m` output rows.
+/// * Otherwise B is packed once for the selected kernel family (scalar
+///   panels or AVX2 lane tiles) and the rows run through [`run_rows`]; for
+///   TN each row task packs its own A^T rows.
+///
+/// Always inlined, so each entry point compiles to its own body with the
+/// layout a constant: the small products of the MAML inner loop and of
+/// serve-time adaptation measurably slow down through a shared body.
+#[inline(always)]
+fn matmul_driver(layout: Layout, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, k, n) = layout.dims(a, b);
+    let muladds = m * k * n;
+    metadpa_obs::counter_add!("tensor.matmul.calls", 1u64);
+    metadpa_obs::counter_add!("tensor.matmul.flops", 2 * muladds as u64);
+    let blocked = muladds >= NAIVE_MAX_MULADDS && (layout != Layout::NT || m >= MR);
+    let narrow = if layout == Layout::NT { k == 1 } else { n == 1 };
+    if narrow && !(blocked && crate::simd::fused_selected()) {
+        metadpa_obs::counter_add!("tensor.matmul.dispatch.narrow", 1u64);
+        match layout {
+            Layout::NN => {
+                out.reset_for_overwrite(m, 1);
+                matvec(&a.data, k, &b.data, &mut out.data);
+            }
+            Layout::TN => {
+                out.reset_zeroed(m, 1);
+                matvec_t(&a.data, m, &b.data, &mut out.data);
+            }
+            Layout::NT => {
+                out.reset_for_overwrite(m, n);
+                outer(&a.data, &b.data, &mut out.data);
+            }
+        }
+        return;
+    }
+    out.reset_zeroed(m, n);
+    if !blocked {
+        metadpa_obs::counter_add!("tensor.matmul.dispatch.serial", 1u64);
+        match layout {
+            Layout::NN => crate::reference::matmul_rows(a, b, 0..m, false, &mut out.data),
+            Layout::TN => crate::reference::matmul_tn_rows(a, b, 0..m, false, &mut out.data),
+            Layout::NT => crate::reference::matmul_nt_rows(a, b, 0..m, &mut out.data),
+        }
+        return;
+    }
+    metadpa_obs::counter_add!("tensor.matmul.dispatch.blocked", 1u64);
+    let path = crate::simd::resolve_and_count();
+    let transposed = layout == Layout::NT;
+    // The packer closures capture by value (`move`): a borrowed `layout`
+    // would escape into the thread-local access and stop the compiler from
+    // folding the layout branches above into each entry point.
+    if path == crate::simd::Path::Scalar {
+        with_b_panels(&b.data, k, n, transposed, move |panels, panel_w| {
+            run_rows(m, muladds, &mut out.data, n, |rows, tile| {
+                with_a_rows(layout, a, k, rows, |arows, n_rows| {
+                    blocked_rows(arows, n_rows, k, panels, panel_w, n, tile);
+                });
+            });
+        });
+    } else {
+        crate::simd::with_b_tiles(&b.data, k, n, transposed, move |tiles| {
+            run_rows(m, muladds, &mut out.data, n, |rows, tile| {
+                with_a_rows(layout, a, k, rows, |arows, n_rows| {
+                    crate::simd::blocked_rows_simd(arows, n_rows, k, tiles, n, path.fused(), tile);
+                });
+            });
+        });
+    }
+}
+
+/// Hands `f` the `k x n` right operand as packed column panels. With
+/// `transposed`, `b` is stored `n x k` and its transpose is packed.
+///
+/// Panel `t` holds columns `t*JT..` as a contiguous `k x w` block, values
+/// copied bit-exactly into a reused thread-local buffer, packed once per
+/// call and shared read-only across all row tasks. A row-major B that is a
+/// single panel (`n <= JT`) already *is* the panel layout, so it is passed
+/// through without copying.
+fn with_b_panels(b: &[f32], k: usize, n: usize, transposed: bool, f: impl FnOnce(&[f32], usize)) {
+    if !transposed && n <= JT {
+        f(b, n.max(1));
+        return;
+    }
     PACK_B.with(|buf| {
         let mut packed = buf.borrow_mut();
         packed.clear();
@@ -988,14 +932,42 @@ fn with_bt_panels(b: &[f32], k: usize, n: usize, f: impl FnOnce(&[f32], usize)) 
             let base = k * j0;
             for p in 0..k {
                 let dst = &mut packed[base + p * w..base + (p + 1) * w];
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d = b[(j0 + j) * k + p];
+                if transposed {
+                    for (j, d) in dst.iter_mut().enumerate() {
+                        *d = b[(j0 + j) * k + p];
+                    }
+                } else {
+                    dst.copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
                 }
             }
             j0 += w;
         }
-        metadpa_obs::counter_add!("tensor.matmul.packed_panels", n.div_ceil(JT.max(1)) as u64);
+        metadpa_obs::counter_add!("tensor.matmul.packed_panels", n.div_ceil(JT) as u64);
         f(&packed, JT);
+    });
+}
+
+/// Hands `f` rows `rows` of the left operand as a contiguous row-major
+/// `rows.len() x k` block, with the row count. NN and NT read a slice of
+/// `a` itself; TN reads columns of the `k x m` matrix `a` (stride `m`), so
+/// they are packed once per row task into this thread's reused buffer —
+/// pool workers pack their own row range.
+fn with_a_rows(
+    layout: Layout,
+    a: &Matrix,
+    k: usize,
+    rows: Range<usize>,
+    f: impl FnOnce(&[f32], usize),
+) {
+    let n_rows = rows.len();
+    if layout != Layout::TN {
+        f(&a.data[rows.start * k..rows.end * k], n_rows);
+        return;
+    }
+    PACK_A.with(|buf| {
+        let mut apack = buf.borrow_mut();
+        pack_at_rows(&a.data, k, a.cols, rows, &mut apack);
+        f(&apack, n_rows);
     });
 }
 
@@ -1053,11 +1025,10 @@ fn run_rows(
 /// `+0.0` — the identical addends in the identical order as the naive
 /// kernel, hence bit-identical results (DESIGN §9).
 ///
-/// This is the scalar kernel family: when [`crate::simd`] dispatch selects
-/// an AVX2 path, the matmul entry points route to
-/// [`crate::simd::blocked_rows_simd`] over lane-tile packed panels instead,
-/// and this function (and its packing) stays byte-for-byte the pre-SIMD
-/// code — the `METADPA_SIMD=off` fallback. The exact SIMD kernel performs
+/// This is the scalar kernel family, the `METADPA_SIMD=off` fallback: when
+/// [`crate::simd`] dispatch selects an AVX2 path, [`matmul_driver`] routes
+/// to [`crate::simd::blocked_rows_simd`] over lane-tile packed panels
+/// instead. The exact SIMD kernel performs
 /// the identical mul-round/add-round sequence per element, so the
 /// scalar/SIMD choice never changes a bit either (DESIGN §14).
 ///

@@ -41,12 +41,13 @@
 //!
 //! ## Panel layout
 //!
-//! The SIMD driver does not reuse the scalar path's row-major column
+//! The SIMD kernels do not reuse the scalar path's row-major column
 //! panels: the right operand is repacked into 64-byte-aligned *lane
 //! tiles* ([`Tile`], 16 columns wide, zero-padded at the right edge), laid
 //! out tile-major so the two 8-lane loads per `p` step are one aligned
-//! cache line. The scalar path and its packing are byte-for-byte the
-//! pre-SIMD code — `METADPA_SIMD=off` reproduces the old bytes trivially.
+//! cache line. [`with_b_tiles`] is the one packer for all three product
+//! forms; `matrix.rs`'s single matmul driver picks it or the scalar panel
+//! packer per call.
 
 #![allow(unsafe_code)]
 
@@ -225,12 +226,19 @@ pub(crate) const TILE_W: usize = 16;
 /// registers for the two B lanes and the broadcast.
 const MR_SIMD: usize = 6;
 
-/// Hands `f` the row-major `k x n` operand packed as zero-padded lane
-/// tiles: tile `t` holds columns `t*16 .. t*16+16`, rows contiguous
-/// (`tiles[t*k + q]` is row `q` of tile `t`). Packed once per matmul call
+/// Hands `f` the `k x n` right operand packed as zero-padded lane tiles:
+/// tile `t` holds columns `t*16 .. t*16+16`, rows contiguous
+/// (`tiles[t*k + q]` is row `q` of tile `t`). With `transposed`, `b` is
+/// stored `n x k` and its transpose is packed. Packed once per matmul call
 /// on the dispatching thread into a reused thread-local buffer and shared
 /// read-only across all row tasks.
-pub(crate) fn with_b_tiles(b: &[f32], k: usize, n: usize, f: impl FnOnce(&[Tile])) {
+pub(crate) fn with_b_tiles(
+    b: &[f32],
+    k: usize,
+    n: usize,
+    transposed: bool,
+    f: impl FnOnce(&[Tile]),
+) {
     let ntiles = n.div_ceil(TILE_W);
     PACK_TILES.with(|buf| {
         let mut packed = buf.borrow_mut();
@@ -240,30 +248,13 @@ pub(crate) fn with_b_tiles(b: &[f32], k: usize, n: usize, f: impl FnOnce(&[Tile]
             let j0 = t * TILE_W;
             let wj = TILE_W.min(n - j0);
             for q in 0..k {
-                packed[t * k + q].0[..wj].copy_from_slice(&b[q * n + j0..q * n + j0 + wj]);
-            }
-        }
-        metadpa_obs::counter_add!("tensor.matmul.packed_tiles", ntiles as u64);
-        f(&packed);
-    });
-}
-
-/// [`with_b_tiles`] for a transposed right operand: `b` is stored `n x k`
-/// row-major and packed as lane tiles of `b^T` (`k x n`), for
-/// [`crate::Matrix::matmul_nt`].
-pub(crate) fn with_bt_tiles(b: &[f32], k: usize, n: usize, f: impl FnOnce(&[Tile])) {
-    let ntiles = n.div_ceil(TILE_W);
-    PACK_TILES.with(|buf| {
-        let mut packed = buf.borrow_mut();
-        packed.clear();
-        packed.resize(ntiles * k, TILE_ZERO);
-        for t in 0..ntiles {
-            let j0 = t * TILE_W;
-            let wj = TILE_W.min(n - j0);
-            for q in 0..k {
-                let dst = &mut packed[t * k + q].0;
-                for (j, d) in dst[..wj].iter_mut().enumerate() {
-                    *d = b[(j0 + j) * k + q];
+                let dst = &mut packed[t * k + q].0[..wj];
+                if transposed {
+                    for (j, d) in dst.iter_mut().enumerate() {
+                        *d = b[(j0 + j) * k + q];
+                    }
+                } else {
+                    dst.copy_from_slice(&b[q * n + j0..q * n + j0 + wj]);
                 }
             }
         }
@@ -499,7 +490,7 @@ mod tests {
     fn tile_packing_pads_the_right_edge_with_zeros() {
         // 2x19 operand: two tiles, the second 3 columns wide + 13 zeros.
         let b: Vec<f32> = (0..38).map(|v| v as f32 + 1.0).collect();
-        with_b_tiles(&b, 2, 19, |tiles| {
+        with_b_tiles(&b, 2, 19, false, |tiles| {
             assert_eq!(tiles.len(), 2 * 2);
             assert_eq!(tiles[0].0[0], 1.0, "tile 0 row 0 col 0");
             assert_eq!(tiles[1].0[0], 20.0, "tile 0 row 1 col 0");
@@ -507,5 +498,15 @@ mod tests {
             assert_eq!(tiles[2].0[3..], [0.0; 13], "tile 1 row 0 padding");
             assert_eq!(tiles[3].0[..3], [36.0, 37.0, 38.0], "tile 1 row 1");
         });
+        // The same operand stored transposed (19x2) packs to the same tiles.
+        let bt: Vec<f32> = (0..38).map(|i| b[(i % 2) * 19 + i / 2]).collect();
+        let plain: Vec<[f32; 16]> = with_tiles_copy(&b, false);
+        assert_eq!(with_tiles_copy(&bt, true), plain);
+    }
+
+    fn with_tiles_copy(b: &[f32], transposed: bool) -> Vec<[f32; 16]> {
+        let mut copy = Vec::new();
+        with_b_tiles(b, 2, 19, transposed, |tiles| copy = tiles.iter().map(|t| t.0).collect());
+        copy
     }
 }

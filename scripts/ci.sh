@@ -38,9 +38,8 @@ METADPA_THREADS=1 cargo test --workspace -q
 
 echo "== cargo test (METADPA_SIMD=off, forced-scalar kernels) =="
 # The SIMD dispatch contract: METADPA_SIMD=off resolves every matmul to
-# the scalar kernel family — the byte-for-byte pre-SIMD code path — and
-# the exact SIMD kernels the default dispatch picks on AVX2 hosts are
-# bit-identical to it. Running the whole suite again with the env switch
+# the scalar kernel family, and the exact SIMD kernels the default
+# dispatch picks on AVX2 hosts are bit-identical to it. Running the whole suite again with the env switch
 # set proves the fallback is complete (no test depends on SIMD being on)
 # and drives the differential suites' scalar side through the real
 # process-global override, not just the thread-local test hook.
@@ -100,11 +99,16 @@ cargo run --release -q -p metadpa-bench --bin obs-report -- \
 echo "== serve smoke (export -> load -> every route -> shutdown) =="
 # Exercise the full serving path end to end: fit + export a tiny artifact,
 # reload it, walk every HTTP route (health, warm/cold recommend, adapt,
-# the 422 path, metrics) over loopback, then shut down cleanly.
+# the 422 path, metrics) over loopback, then shut down cleanly. Runs once
+# per ranking policy, so exact and fused ranking both cross HTTP.
 cargo run --release -q -p metadpa-serve --bin metadpa-serve -- \
   export --out serve_smoke.ckpt --seed 7
 cargo run --release -q -p metadpa-serve --bin metadpa-serve -- \
   smoke --artifact serve_smoke.ckpt
+cargo run --release -q -p metadpa-serve --bin metadpa-serve -- \
+  export --out serve_smoke_fused.ckpt --seed 7 --ranking fused
+cargo run --release -q -p metadpa-serve --bin metadpa-serve -- \
+  smoke --artifact serve_smoke_fused.ckpt
 
 echo "== serve loadgen + perf gate =="
 # Short loopback load burst; must clear the 1k req/s floor and stay within

@@ -1,5 +1,5 @@
 //! End-to-end serving round trip: fit the pipeline, export an artifact,
-//! write it to disk in `metadpa-ckpt/v1`, reload it, and verify the
+//! write it to disk in `metadpa-ckpt/v2`, reload it, and verify the
 //! reloaded recommender reproduces the live model's top-K lists exactly —
 //! for warm users straight from θ AND for a cold-start user after
 //! serve-time MAML adaptation on their support set.

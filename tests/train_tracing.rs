@@ -20,7 +20,7 @@ use metadpa_data::generator::generate_world;
 use metadpa_data::presets::tiny_world;
 use metadpa_data::splits::{ScenarioKind, SplitConfig, Splitter};
 use metadpa_data::task::Task;
-use metadpa_nn::module::{snapshot, Module};
+use metadpa_nn::module::{snapshot, Params};
 use metadpa_obs::lineage::{run_id_from_health_json, Lineage};
 use metadpa_obs::recorder::FileRecorder;
 use metadpa_obs::stream::{read_file_lenient, JsonValue, StreamEvent};
